@@ -9,7 +9,9 @@ a structured error object; argparse usage failures exit 2.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
+import operator
 import sys
 
 from .config import (
@@ -23,7 +25,7 @@ from .config import (
     RunConfig,
 )
 from .cyclic import GroupFunction, linf_norm
-from .errors import GowersLabError, ModeError
+from .errors import GowersLabError, InvalidConfigurationError, ModeError
 from .gowers import (
     dual_function,
     fourier_coefficients,
@@ -82,15 +84,46 @@ def _certify_input(obj: dict) -> CertifiedFunction:
     return certify_phase_sum(f.n, terms)
 
 
+_ARITH_OPS = {
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+    ast.Div: operator.truediv, ast.Pow: operator.pow, ast.USub: operator.neg,
+}
+
+
 def _threshold_value(expr: str | None, k: int, delta: float):
+    """A float, or arithmetic in k and delta: numbers (as floats, so **
+    cannot build huge integers), + - * / **, unary minus, min and max.
+    The length cap keeps the parser clear of deep nesting."""
     if expr is None:
         return None
     try:
         return float(expr)
     except ValueError:
         pass
-    # arithmetic convenience only; no builtins reachable
-    return float(eval(expr, {"__builtins__": {}}, {"k": k, "delta": delta, "min": min, "max": max}))
+    if len(expr) > 200:
+        raise InvalidConfigurationError("--threshold expression over 200 characters")
+    try:
+        value = _arith(ast.parse(expr, mode="eval").body, {"k": float(k), "delta": float(delta)})
+    except (SyntaxError, ZeroDivisionError, OverflowError) as exc:
+        raise InvalidConfigurationError(f"--threshold {expr!r}: {exc}") from exc
+    if not isinstance(value, float):  # a negative base to a fractional power
+        raise InvalidConfigurationError(f"--threshold {expr!r} is not a real number")
+    return value
+
+
+def _arith(node, names: dict):
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return float(node.value)
+    if isinstance(node, ast.Name) and node.id in names:
+        return names[node.id]
+    if isinstance(node, ast.BinOp) and type(node.op) in _ARITH_OPS:
+        return _ARITH_OPS[type(node.op)](_arith(node.left, names), _arith(node.right, names))
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _ARITH_OPS:
+        return _ARITH_OPS[type(node.op)](_arith(node.operand, names))
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("min", "max") and len(node.args) >= 2 and not node.keywords):
+        return (min if node.func.id == "min" else max)(_arith(a, names) for a in node.args)
+    raise InvalidConfigurationError(f"--threshold: {ast.unparse(node)!r} is not allowed")
 
 
 # ---------------------------------------------------------------------------

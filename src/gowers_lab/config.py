@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -39,24 +38,6 @@ def derive_rng(seed: int, label: str, *indices: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def thread_cap(requested: int | None = None) -> int:
-    """Worker cap honouring the GOWERS_LAB_THREADS environment variable.
-
-    The current engines are serial; the knob exists so callers and scripts
-    can pass it through without interface churn.
-    """
-    env = os.environ.get("GOWERS_LAB_THREADS")
-    cap = None
-    if env is not None:
-        try:
-            cap = max(1, int(env))
-        except ValueError:
-            cap = None
-    if requested is None:
-        return cap if cap is not None else 1
-    return min(requested, cap) if cap is not None else requested
-
-
 # Cap on Bernstein polynomial degrees in certified approximation.
 DEFAULT_POLY_DEGREE = 64
 
@@ -75,12 +56,8 @@ class RunConfig:
     poly_degree: int = DEFAULT_POLY_DEGREE
     vdw_nodes: int = DEFAULT_VDW_NODES
     digit_limit: int = DEFAULT_DIGIT_LIMIT
-    threads: int = field(default_factory=thread_cap)
 
     def digest(self) -> str:
-        # threads comes from the environment and must not perturb
-        # byte-identical outputs, so it stays out of the digest
         payload = asdict(self)
-        payload.pop("threads")
         text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]

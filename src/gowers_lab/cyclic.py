@@ -108,21 +108,6 @@ def _same_group(f: GroupFunction, g: GroupFunction):
         raise DimensionMismatchError(f"moduli differ: {f.n} vs {g.n}")
 
 
-@dataclass(frozen=True)
-class Complexity:
-    """Non-negative size measure for generated structures; +inf allowed."""
-
-    value: float
-
-    def __post_init__(self):
-        if not (self.value >= 0.0 or math.isinf(self.value)):
-            raise ValueError(f"complexity must be >= 0, got {self.value}")
-
-    @staticmethod
-    def of(*values: float) -> "Complexity":
-        return Complexity(max([0.0, *map(float, values)]))
-
-
 def shift(f: GroupFunction, n: int) -> GroupFunction:
     """(T^n f)(x) = f(x + n)."""
     return GroupFunction(f.n, np.roll(f.values, -int(n) % f.n))

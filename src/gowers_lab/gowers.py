@@ -12,6 +12,11 @@ root is taken.
 Three independent evaluation routes are kept deliberately separate so they
 can be cross-checked: the recursion above, an unrolled parallelepiped sum
 (orders 1..3), and for order 2 the l^4 sum of Fourier coefficients.
+
+The recursion runs level by level on the shift table idx[h, x] = (x + h)
+mod N: one derivative step maps rows f_b to the rows conj(f_b) . f_b[idx[h]].
+S_d takes d - 1 steps and closes with S_1(g) = |E g|^2, the dual D_d takes
+the same steps and closes with D_1(g) = E g.
 """
 from __future__ import annotations
 
@@ -36,16 +41,69 @@ class GowersNorm:
     u0_value: complex | None  # complex mean, present for order 0
 
 
-def _power(vals: np.ndarray, d: int) -> complex:
-    # S_d via the defining recursion; each h-slice is computed exactly once
-    if d == 0:
-        return complex(np.mean(vals))
-    conj = np.conj(vals)
-    n = vals.shape[0]
-    acc = 0.0 + 0.0j
-    for h in range(n):
-        acc += _power(conj * np.roll(vals, -h), d - 1)
+# complex entries per engine block (64 KiB), which bounds the memory of
+# every derivative level.  Block arrays stay under glibc's default 128 KiB
+# mmap threshold: freeing larger ones raises that threshold, and the heap
+# then fragments under repeated certificate work (6% more peak memory
+# with 1 MiB blocks).
+_BLOCK = 1 << 12
+
+
+def _shift_table(n: int) -> np.ndarray:
+    """idx[h, x] = (x + h) mod n, so vals[idx[h]] is T^h applied to vals."""
+    return np.add.outer(np.arange(n), np.arange(n)) % n
+
+
+def _derive(rows: np.ndarray, idx: np.ndarray):
+    """The derived stack, row b*N + h = conj(f_b) . T^h f_b, in blocks of
+    at most _BLOCK // N rows: yields the b, the T^h f_b and the rows."""
+    b, n = rows.shape
+    flat = rows.reshape(-1)
+    step = max(1, _BLOCK // n)
+    for lo in range(0, b * n, step):
+        bs, hs = np.divmod(np.arange(lo, min(lo + step, b * n)), n)
+        shifted = flat[(bs * n)[:, None] + idx[hs]]
+        yield bs, shifted, np.conj(rows[bs]) * shifted
+
+
+def _power_rows(rows: np.ndarray, d: int, idx: np.ndarray) -> np.ndarray:
+    """S_d, d >= 1, of every row of a (B, N) stack, as a real (B,) array."""
+    if d == 1:
+        return np.abs(rows.mean(axis=1)) ** 2
+    b, n = rows.shape
+    child = [_power_rows(g, d - 1, idx) for _, _, g in _derive(rows, idx)]
+    return np.concatenate(child).reshape(b, n).mean(axis=1)
+
+
+def _dual_rows(rows: np.ndarray, d: int, idx: np.ndarray) -> np.ndarray:
+    """D_d, d >= 1, of every row of a (B, N) stack."""
+    b, n = rows.shape
+    if d == 1:
+        return np.repeat(rows.mean(axis=1, keepdims=True), n, axis=1)
+    acc = np.zeros((b, n), dtype=np.complex128)
+    for bs, shifted, g in _derive(rows, idx):
+        terms = np.conj(_dual_rows(g, d - 1, idx)) * shifted
+        # bs is sorted: sum each run of equal b in h order
+        first = np.flatnonzero(np.diff(bs, prepend=-1))
+        acc[bs[first]] += np.add.reduceat(terms, first, axis=0)
     return acc / n
+
+
+def _progression_mean(vals, steps, rs) -> complex:
+    """E( prod_j vals_j(x + steps_j r) | x in Z_N, r in rs ), gathered on
+    the shift table in blocks of rows r."""
+    n = vals[0].shape[0]
+    idx = _shift_table(n)
+    rs = np.asarray(rs, dtype=np.int64)
+    step = max(1, _BLOCK // n)
+    total = 0.0 + 0.0j
+    for lo in range(0, rs.shape[0], step):
+        r = rs[lo:lo + step]
+        prod = np.ones((r.shape[0], n), dtype=np.complex128)
+        for v, s in zip(vals, steps):
+            prod *= v[idx[(s * r) % n]]
+        total += prod.sum()
+    return complex(total / (rs.shape[0] * n))
 
 
 def _real_power(s: complex, d: int, scale: float, tol: float) -> float:
@@ -60,12 +118,12 @@ def _real_power(s: complex, d: int, scale: float, tol: float) -> float:
 
 
 def gowers_norm(f: GroupFunction, d: int, tol: float = DEFAULT_TOL) -> GowersNorm:
-    """||f||_{U^d} by the power-functional recursion; order 0 returns E(f)."""
+    """||f||_{U^d} by the derivative engine; order 0 returns E(f)."""
     if d < 0:
         raise UnsupportedOrderError(f"order must be >= 0, got {d}")
     if d == 0:
         return GowersNorm(0, None, complex(np.mean(f.values)))
-    s = _power(f.values, d)
+    s = complex(_power_rows(f.values[None, :], d, _shift_table(f.n))[0])
     scale = float(np.max(np.abs(f.values)) ** (2 ** d))
     s_real = _real_power(s, d, scale, tol)
     return GowersNorm(d, float(s_real ** (1.0 / 2 ** d)), None)
@@ -123,19 +181,9 @@ def dual_function(f: GroupFunction, d: int) -> GroupFunction:
     """
     if d < 0:
         raise UnsupportedOrderError(f"order must be >= 0, got {d}")
-    return GroupFunction(f.n, _dual(f.values, d))
-
-
-def _dual(vals: np.ndarray, d: int) -> np.ndarray:
-    n = vals.shape[0]
     if d == 0:
-        return np.ones(n, dtype=np.complex128)
-    conj = np.conj(vals)
-    acc = np.zeros(n, dtype=np.complex128)
-    for h in range(n):
-        th = np.roll(vals, -h)
-        acc += np.conj(_dual(conj * th, d - 1)) * th
-    return acc / n
+        return GroupFunction.constant(f.n, 1.0)
+    return GroupFunction(f.n, _dual_rows(f.values[None, :], d, _shift_table(f.n))[0])
 
 
 def multilinear_average(fs, lams) -> complex:
@@ -149,13 +197,7 @@ def multilinear_average(fs, lams) -> complex:
     lams = [int(l) % n for l in lams]
     if len(lams) != len(fs):
         raise InvalidConfigurationError("one dilation constant per function")
-    acc = 0.0 + 0.0j
-    for r in range(n):
-        prod = np.ones(n, dtype=np.complex128)
-        for g, lam in zip(fs, lams):
-            prod *= np.roll(g.values, -(lam * r) % n)
-        acc += prod.mean()
-    return complex(acc / n)
+    return _progression_mean([g.values for g in fs], lams, range(n))
 
 
 @dataclass(frozen=True)
@@ -191,38 +233,26 @@ def von_neumann_check(fs, lams, tol: float = DEFAULT_TOL) -> VonNeumannReport:
 
 
 # ---------------------------------------------------------------------------
-# batched twin of the recursion, for bulk property sweeps
-
-_BATCH_EXPAND_LIMIT = 4_000_000
+# batched route, for bulk property sweeps
 
 
 def gowers_power_batch(stack: np.ndarray, d: int) -> np.ndarray:
-    """S_d for every row of a (B, N) stack; same recursion, vectorized.
+    """S_d for every row of a (B, N) stack, through the same engine.
 
-    Used by large randomized sweeps where calling the scalar route per
-    function would dominate the runtime.  Agreement with gowers_norm is
-    asserted in the test suite on sampled rows.
+    Order 0 gives the complex row means; orders d >= 1 give real S_d.
     """
     stack = np.asarray(stack, dtype=np.complex128)
     if d == 0:
         return stack.mean(axis=1)
-    b, n = stack.shape
-    conj = np.conj(stack)
-    if b * n * n <= _BATCH_EXPAND_LIMIT:
-        rolled = np.stack([np.roll(stack, -h, axis=1) for h in range(n)])
-        expanded = (conj[None, :, :] * rolled).reshape(n * b, n)
-        return gowers_power_batch(expanded, d - 1).reshape(n, b).mean(axis=0)
-    acc = np.zeros(b, dtype=np.complex128)
-    for h in range(n):
-        acc += gowers_power_batch(conj * np.roll(stack, -h, axis=1), d - 1)
-    return acc / n
+    return _power_rows(stack, d, _shift_table(stack.shape[1]))
 
 
 def gowers_norm_batch(stack: np.ndarray, d: int, tol: float = DEFAULT_TOL) -> np.ndarray:
     """||row||_{U^d} for every row of a (B, N) stack, d >= 1."""
     if d < 1:
         raise UnsupportedOrderError("batched norm needs d >= 1")
-    s = gowers_power_batch(stack, d)
+    stack = np.asarray(stack, dtype=np.complex128)
+    s = _power_rows(stack, d, _shift_table(stack.shape[1]))
     scale = np.maximum(1.0, np.max(np.abs(stack), axis=1) ** (2 ** d))
     if np.any(np.abs(s.imag) > tol * scale):
         raise NumericalInconsistencyError("batched S_d has non-real entries")

@@ -22,6 +22,7 @@ from .errors import (
     MissingInputError,
     ModeError,
 )
+from .gowers import _progression_mean
 from .partitions import Partition, conditional_expectation
 
 EXHAUSTIVE_LIMIT = 22
@@ -48,13 +49,7 @@ def recurrence_average(
     rs = tuple(range(n)) if r_range is None else tuple(int(r) for r in r_range)
     if not rs:
         raise EmptyDomainError("empty r range")
-    total = 0.0 + 0.0j
-    for r in rs:
-        prod = np.ones(n, dtype=np.complex128)
-        for j in range(k):
-            prod *= np.roll(f.values, -((mu * j * r) % n))
-        total += prod.mean()
-    avg = total / len(rs)
+    avg = _progression_mean([f.values] * k, [mu * j % n for j in range(k)], rs)
     value = float(avg.real) if abs(avg.imag) < 1e-12 else float(abs(avg))
     return RecurrenceReport(
         k=k, n=n, average=value, min_over_family=value, witness=None,

@@ -19,24 +19,23 @@ from .uap import CertifiedFunction, UapCertificate
 from .vdw import Colouring
 
 
-def _pyify(obj):
-    if isinstance(obj, dict):
-        return {k: _pyify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_pyify(v) for v in obj]
+def _native(obj):
+    """json.dumps hook for numpy values and complex numbers.  Converting at
+    encode time, not by copying the report first, keeps large certificates
+    from being held twice in memory; np.float64 is a float, written as one."""
     if isinstance(obj, np.ndarray):
-        return [_pyify(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
+        return obj.tolist()
+    if isinstance(obj, np.floating):
         return float(obj)
-    if isinstance(obj, (np.integer, int)) and not isinstance(obj, bool):
+    if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, (np.complexfloating, complex)):
         return [float(np.real(obj)), float(np.imag(obj))]
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def canonical_dumps(obj) -> str:
-    return json.dumps(_pyify(obj), sort_keys=True, separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_native)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from .errors import (
     ResourceLimitError,
     UnsupportedOrderError,
 )
-from .gowers import dual_function, gowers_norm
+from .gowers import _shift_table, gowers_norm
 from .cyclic import inner_product, shift
 
 
@@ -111,21 +111,15 @@ class VerificationReport:
     total_nodes: int
 
 
-def _reconstruction_rows(cf: CertifiedFunction) -> np.ndarray:
-    """M . sum_h w_h c_{n,h} g_h as an (N, N) matrix indexed (n, x)."""
+def _reconstruction_rows(cf: CertifiedFunction, cols: np.ndarray) -> np.ndarray:
+    """M . sum_h w_h c_{n,h} g_h as an (N, N) matrix indexed (n, x), for
+    the columns g_h stacked as an (H, N) array."""
     cert = cf.cert
-    n = cf.n
-    cols = np.stack([g.values for g in cert.columns])  # (H, N)
     if cert.order == 1:
         coeff = np.asarray(cert.coeffs, dtype=np.complex128)  # (N, H)
         return cert.bound * (coeff * cert.weights[None, :]) @ cols
-    out = np.zeros((n, n), dtype=np.complex128)
-    for i in range(n):
-        row = np.zeros(n, dtype=np.complex128)
-        for w, c, g in zip(cert.weights, cert.coeffs[i], cols):
-            row += w * c.func.values * g
-        out[i] = cert.bound * row
-    return out
+    coeff = np.array([[c.func.values for c in row] for row in cert.coeffs])  # (N, H, N)
+    return cert.bound * np.einsum("ihx,hx->ix", coeff, cert.weights[:, None] * cols)
 
 
 def verify_certificate(
@@ -178,8 +172,12 @@ def verify_certificate(
         for j, g in enumerate(cert.columns):
             if g.n != node.n:
                 raise CertificateInvalidError("column on wrong group", path + (j,))
-            if not g.is_bounded(tol):
-                raise CertificateInvalidError(f"column {j} unbounded", path + (j,))
+        cols = np.stack([g.values for g in cert.columns])  # (H, N)
+        # the is_bounded test on every column at once; NaN counts as unbounded
+        unbounded = np.flatnonzero(~(np.max(np.abs(cols), axis=1) <= 1.0 + tol))
+        if unbounded.size:
+            j = int(unbounded[0])
+            raise CertificateInvalidError(f"column {j} unbounded", path + (j,))
         if cert.order == 1:
             coeff = np.asarray(cert.coeffs, dtype=np.complex128)
             if coeff.shape != (node.n, len(cert.columns)):
@@ -209,8 +207,8 @@ def verify_certificate(
                             path + (i, j),
                         )
                     stack.append((sub, depth + 1, path + (i, j)))
-        recon = _reconstruction_rows(node)
-        shifted = np.stack([np.roll(node.func.values, -i) for i in range(node.n)])
+        recon = _reconstruction_rows(node, cols)
+        shifted = node.func.values[_shift_table(node.n)]
         err = float(np.max(np.abs(shifted - recon)))
         if err > atol * node.n:
             raise CertificateInvalidError(
@@ -398,12 +396,14 @@ def cert_shift(cf: CertifiedFunction, s: int) -> CertifiedFunction:
 
 
 def _poly_translate(poly, s: int, n: int):
-    diff = poly_shift_difference(poly, s, n)
-    base = list(poly_reduce(poly, n))
-    out = [0] * max(len(base), len(diff))
-    for i, c in enumerate(base):
+    return _poly_add(poly_reduce(poly, n), poly_shift_difference(poly, s, n), n)
+
+
+def _poly_add(a, b, n: int):
+    out = [0] * max(len(a), len(b))
+    for i, c in enumerate(a):
         out[i] = (out[i] + c) % n
-    for i, c in enumerate(diff):
+    for i, c in enumerate(b):
         out[i] = (out[i] + c) % n
     return poly_reduce(out, n)
 
@@ -502,15 +502,25 @@ def _product_terms(ta, tb, n):
     acc: dict = {}
     for ga, pa in ta:
         for gb, pb in tb:
-            pa_l, pb_l = list(pa), list(pb)
-            out = [0] * max(len(pa_l), len(pb_l))
-            for i, c in enumerate(pa_l):
-                out[i] = (out[i] + c) % n
-            for i, c in enumerate(pb_l):
-                out[i] = (out[i] + c) % n
-            key = poly_reduce(out, n)
+            key = _poly_add(pa, pb, n)
             acc[key] = acc.get(key, 0.0 + 0.0j) + ga * gb
     return tuple((g, p) for p, g in acc.items() if g != 0)
+
+
+def _phase_coeffs(n: int, terms, degree: int):
+    """Coefficient (i, m) = c_m e((P_m(x+i) - P_m(x))/n) for terms (c_m, P_m):
+    constants at degree 1, else certified one order down."""
+    if degree == 1:
+        coeffs = np.empty((n, len(terms)), dtype=np.complex128)
+        for m, (c, p) in enumerate(terms):
+            for i in range(n):
+                coeffs[i, m] = c * np.exp(2j * np.pi * poly_shift_difference(p, i, n)[0] / n)
+        return coeffs
+    return tuple(
+        tuple(certify_phase_sum(n, [(c, poly_shift_difference(p, i, n))], order=degree - 1)
+              for c, p in terms)
+        for i in range(n)
+    )
 
 
 def certify_phase_sum(
@@ -545,23 +555,7 @@ def certify_phase_sum(
     else:
         columns = tuple(GroupFunction(n, phase_values(p, n)) for _, p in kept)
         weights = np.array([abs(g) / total for g, _ in kept])
-        if degree == 1:
-            coeffs = np.empty((n, len(kept)), dtype=np.complex128)
-            for m, (g, p) in enumerate(kept):
-                for i in range(n):
-                    diff = poly_shift_difference(p, i, n)
-                    coeffs[i, m] = _phase_of(g) * np.exp(2j * np.pi * diff[0] / n)
-        else:
-            rows = []
-            for i in range(n):
-                row = []
-                for g, p in kept:
-                    diff = poly_shift_difference(p, i, n)
-                    row.append(
-                        certify_phase_sum(n, [(_phase_of(g), diff)], order=degree - 1)
-                    )
-                rows.append(tuple(row))
-            coeffs = tuple(rows)
+        coeffs = _phase_coeffs(n, [(_phase_of(g), p) for g, p in kept], degree)
         cert = UapCertificate(
             degree, float(total), weights=weights, columns=columns, coeffs=coeffs
         )
@@ -594,21 +588,7 @@ def certify_quasiperiodic(ps: PhaseSum) -> CertifiedFunction:
         return CertifiedFunction(ps.func, cert, scaled)
     columns = tuple(GroupFunction(n, phase_values(p, n)) for _, p in terms)
     weights = np.full(j_count, 1.0 / j_count)
-    if degree == 1:
-        coeffs = np.empty((n, j_count), dtype=np.complex128)
-        for m, (c, p) in enumerate(terms):
-            for i in range(n):
-                diff = poly_shift_difference(p, i, n)
-                coeffs[i, m] = c * np.exp(2j * np.pi * diff[0] / n)
-    else:
-        rows = []
-        for i in range(n):
-            row = []
-            for c, p in terms:
-                diff = poly_shift_difference(p, i, n)
-                row.append(certify_phase_sum(n, [(c, diff)], order=degree - 1))
-            rows.append(tuple(row))
-        coeffs = tuple(rows)
+    coeffs = _phase_coeffs(n, terms, degree)
     cert = UapCertificate(degree, 1.0, weights=weights, columns=columns, coeffs=coeffs)
     return CertifiedFunction(ps.func, cert, scaled)
 
@@ -630,7 +610,9 @@ def certify_dual(
         T^i D_d(f) = E( [T^i conj(D_{d-1}(conj(f) T^{h-i} f))] . g_h | h ),
 
     so the coefficient at (i, h) depends on h - i only, and the N
-    sub-certificates are shared across the N^2 coefficient slots.
+    sub-certificates are shared across the N^2 coefficient slots.  The
+    function itself is assembled from the same sub-certificates at i = 0,
+    so every sub-dual is computed once.
     """
     if d < 1:
         raise UnsupportedOrderError("dual certificates need d >= 1")
@@ -641,41 +623,34 @@ def certify_dual(
         raise ResourceLimitError(
             f"certificate would need ~{n ** (d - 1)} nodes, budget {node_budget}"
         )
-    dual = dual_function(f, d)
     if d == 1:
         # D_1(f) is the constant E(f)
-        cert = UapCertificate(0, 1.0, value=complex(np.mean(f.values)))
-        return CertifiedFunction(dual, cert)
+        mean = complex(np.mean(f.values))
+        cert = UapCertificate(0, 1.0, value=mean)
+        return CertifiedFunction(GroupFunction.constant(n, mean), cert)
+    idx = _shift_table(n)
+    shifted = f.values[idx]  # row h is T^h f
     conj_vals = np.conj(f.values)
-    columns = tuple(shift(f, h) for h in range(n))
+    columns = tuple(GroupFunction(n, row) for row in shifted)
     weights = np.full(n, 1.0 / n)
+    # D_d(f) = E( c_h . T^h f | h ) with c_h = conj(D_{d-1}(conj(f) T^h f))
     if d == 2:
-        # coefficients are the constants conj(E(conj(f) T^m f)) at m = h - i
-        consts = np.array(
-            [np.conj(np.mean(conj_vals * np.roll(f.values, -m))) for m in range(n)]
-        )
-        coeffs = np.empty((n, n), dtype=np.complex128)
-        for i in range(n):
-            coeffs[i] = consts[(np.arange(n) - i) % n]
+        # the c_h are the constants conj(E(conj(f) T^h f)); slot (i, h) holds c_{h-i}
+        consts = np.conj((conj_vals * shifted).mean(axis=1))
+        coeffs = consts[idx[-np.arange(n) % n]]
         cert = UapCertificate(1, 1.0, weights=weights, columns=columns, coeffs=coeffs)
-        return CertifiedFunction(dual, cert)
+        return CertifiedFunction(GroupFunction(n, consts @ shifted / n), cert)
     base = [
-        cert_conj(certify_dual(GroupFunction(n, conj_vals * np.roll(f.values, -m)),
+        cert_conj(certify_dual(GroupFunction(n, conj_vals * shifted[m]),
                                d - 1, node_budget, tol))
         for m in range(n)
     ]
-    shifted = [[None] * n for _ in range(n)]
-    rows = []
-    for i in range(n):
-        row = []
-        for h in range(n):
-            m = (h - i) % n
-            if shifted[m][i] is None:
-                shifted[m][i] = cert_shift(base[m], i)
-            row.append(shifted[m][i])
-        rows.append(tuple(row))
-    cert = UapCertificate(d - 1, 1.0, weights=weights, columns=columns, coeffs=tuple(rows))
-    return CertifiedFunction(dual, cert)
+    dual = (np.array([b.func.values for b in base]) * shifted).mean(axis=0)
+    rows = tuple(
+        tuple(cert_shift(base[(h - i) % n], i) for h in range(n)) for i in range(n)
+    )
+    cert = UapCertificate(d - 1, 1.0, weights=weights, columns=columns, coeffs=rows)
+    return CertifiedFunction(GroupFunction(n, dual), cert)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,20 @@
 """End-to-end command-line coverage: every verb, the JSON envelope,
 exit codes, CSV forms, and the frozen decompose regression."""
 import json
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gowers_lab as gl
-from gowers_lab.cli import main
+from gowers_lab.cli import _threshold_value, build_parser, main
+from gowers_lab.errors import InvalidConfigurationError
 from gowers_lab.structure import TRACE_COLUMNS
 
 DATA = Path(__file__).parent / "data"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def write(tmp_path, name, obj):
@@ -248,6 +252,28 @@ def test_structure_threshold_expression_and_trace_csv(tmp_path, capsys):
     assert len(env["report"]["trace"]) == 1
 
 
+@pytest.mark.parametrize("expr", ["M", "().__class__", "__import__('os')", "1/0"])
+def test_structure_threshold_rejects_non_arithmetic(tmp_path, capsys, expr):
+    f = write(tmp_path, "f.json", {"n": 13, "re": [0.4] * 13})
+    rc, err = run_json(capsys, [
+        "structure", "decompose", "--input", f, "--k", "3", "--delta", "0.3",
+        "--threshold", expr,
+    ])
+    assert rc == 1
+    assert err["error"]["type"] == "InvalidConfigurationError"
+
+
+def test_threshold_expression_whitelist():
+    assert _threshold_value("min(delta,0.5)/8", 3, 0.3) == pytest.approx(0.3 / 8)
+    assert _threshold_value("-k**2 + max(1, delta)", 3, 0.3) == -8.0
+    assert _threshold_value("2**-1", 3, 0.3) == 0.5
+    assert _threshold_value(None, 3, 0.3) is None
+    for bad in ("10**400", "(-8)**0.5", "1+", "k.real", "True", "1j", "min(1)",
+                "delta if k else 1", "-" * 300 + "1"):
+        with pytest.raises(InvalidConfigurationError):
+            _threshold_value(bad, 3, 0.3)
+
+
 def test_structure_csv_format_streams_trace(tmp_path, capsys):
     f = write(tmp_path, "f.json", {"n": 13, "re": [0.4] * 13})
     rc = main([
@@ -396,3 +422,36 @@ def test_partition_and_colouring_round_trips():
     c = gl.Colouring(4, 3, (1, 3, 2, 1))
     back_c = gl.colouring_from_json(json.loads(json.dumps(gl.colouring_to_json(c))))
     assert back_c == c
+
+
+def test_canonical_dumps_numpy_values():
+    obj = {
+        "b": np.float64(0.1),
+        "a": [np.int64(3), np.float32(0.5), 1 + 2j, np.complex128(3 - 1j)],
+        "c": np.array([1.5, 2.0]),
+        "d": (1, np.array([1j])),
+    }
+    assert gl.canonical_dumps(obj) == (
+        '{"a":[3,0.5,[1.0,2.0],[3.0,-1.0]],"b":0.1,"c":[1.5,2.0],"d":[1,[[0.0,1.0]]]}'
+    )
+    with pytest.raises(TypeError):
+        gl.canonical_dumps({"x": object()})
+
+
+# ---------------------------------------------------------------------------
+# README drift
+
+
+def test_readme_cli_lines_parse():
+    """Every concrete command line in the README's CLI block parses with the
+    real parser; only the verb summaries ("a|b|c ...") are skipped."""
+    text = README.read_text()
+    block = re.search(r"## CLI\n.*?```\n(.*?)```", text, re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    concrete = [line for line in lines if "..." not in line]
+    assert len(concrete) >= 8
+    for line in concrete:
+        argv = shlex.split(line.replace("[", "").replace("]", ""))
+        assert argv[0] == "gowers-lab", line
+        args = build_parser().parse_args(argv[1:])
+        assert args.group == argv[1] and args.verb == argv[2], line

@@ -3,9 +3,39 @@ import numpy as np
 import pytest
 
 import gowers_lab as gl
+from gowers_lab import gowers as gw
 from gowers_lab.errors import InvalidConfigurationError, UnsupportedOrderError
 
 PRIMES = (5, 7, 11, 13)
+
+
+# ---------------------------------------------------------------------------
+# the defining recursions, one interpreter call per shift: the reference the
+# level-wise engine is held to
+
+
+def power_loop(vals, d):
+    """S_0 = E(f);  S_d(f) = E( S_{d-1}(conj(f) T^h f) | h )."""
+    if d == 0:
+        return complex(np.mean(vals))
+    conj = np.conj(vals)
+    acc = 0.0 + 0.0j
+    for h in range(vals.shape[0]):
+        acc += power_loop(conj * np.roll(vals, -h), d - 1)
+    return acc / vals.shape[0]
+
+
+def dual_loop(vals, d):
+    """D_0 = 1;  D_d(f) = E( conj(D_{d-1}(conj(f) T^h f)) . T^h f | h )."""
+    n = vals.shape[0]
+    if d == 0:
+        return np.ones(n, dtype=np.complex128)
+    conj = np.conj(vals)
+    acc = np.zeros(n, dtype=np.complex128)
+    for h in range(n):
+        th = np.roll(vals, -h)
+        acc += np.conj(dual_loop(conj * th, d - 1)) * th
+    return acc / n
 
 
 def random_function(rng, n, scale=1.0):
@@ -191,3 +221,68 @@ def test_unsupported_order():
         gl.gowers_norm(f, -1)
     with pytest.raises(UnsupportedOrderError):
         gl.gowers_norm_direct(f, 4)  # direct route stops at d = 3
+
+
+# ---------------------------------------------------------------------------
+# the level-wise engine against the loop reference
+
+
+@pytest.mark.parametrize("n", (5, 7, 13))
+def test_engine_matches_loop_reference(n):
+    rng = np.random.default_rng(100 + n)
+    stack = (rng.uniform(-1, 1, (2, n)) + 1j * rng.uniform(-1, 1, (2, n))) / np.sqrt(2)
+    for d in range(5):
+        want = np.array([power_loop(row, d) for row in stack])
+        assert np.max(np.abs(gw.gowers_power_batch(stack, d) - want)) <= 1e-12
+        f = gl.GroupFunction(n, stack[0])
+        if d == 0:
+            assert abs(gl.gowers_norm(f, 0).u0_value - want[0]) <= 1e-12
+        else:
+            assert abs(gl.gowers_norm(f, d).value ** (2 ** d) - want[0].real) <= 1e-12
+            assert np.max(np.abs(gl.gowers_norm_batch(stack, d) ** (2 ** d) - want.real)) <= 1e-12
+        want_duals = np.array([dual_loop(row, d) for row in stack])
+        assert np.max(np.abs(gl.dual_function(f, d).values - want_duals[0])) <= 1e-12
+        if d >= 1:
+            duals = gw._dual_rows(stack, d, gw._shift_table(n))
+            assert np.max(np.abs(duals - want_duals)) <= 1e-12
+
+
+@pytest.mark.parametrize("block", (1, 40, 100, 160))
+def test_engine_blocks_match_unblocked(monkeypatch, block):
+    """Expansions that span many blocks, including blocks shorter than a
+    row and blocks that split one row's run of shifts, agree with a
+    single block per level."""
+    rng = np.random.default_rng(200)
+    n = 13
+    stack = (rng.uniform(-1, 1, (4, n)) + 1j * rng.uniform(-1, 1, (4, n))) / np.sqrt(2)
+    f = gl.GroupFunction(n, stack[1])
+    fs = [gl.GroupFunction(n, row) for row in stack]
+
+    def evaluate():
+        return (
+            [gw.gowers_power_batch(stack, d) for d in (1, 2, 3)],
+            [gl.gowers_norm(f, d).value for d in (1, 2, 3, 4)],
+            [gl.dual_function(f, d).values for d in (1, 2, 3)],
+            [gw._dual_rows(stack, d, gw._shift_table(n)) for d in (2, 3)],
+            gl.multilinear_average(fs, (0, 1, 3, 7)),
+            gl.recurrence_average(f, 4, r_range=range(-2, 11), mu=3).average,
+        )
+
+    monkeypatch.setattr(gw, "_BLOCK", 1 << 40)
+    whole = evaluate()
+    monkeypatch.setattr(gw, "_BLOCK", block)
+    assert n * n > block  # every derivative step of a single row spans blocks
+    blocked = evaluate()
+    for a, b in zip(whole, blocked):
+        assert np.max(np.abs(np.asarray(a) - np.asarray(b))) <= 1e-12
+
+
+@pytest.mark.parametrize("d", (3, 4))
+def test_certified_dual_matches_engine_and_loop(d):
+    rng = np.random.default_rng(300 + d)
+    n = 7
+    f = gl.GroupFunction(n, (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)) / np.sqrt(2))
+    cf = gl.certify_dual(f, d)
+    assert np.max(np.abs(cf.func.values - gl.dual_function(f, d).values)) <= 1e-12
+    assert np.max(np.abs(cf.func.values - dual_loop(f.values, d))) <= 1e-12
+    gl.verify_certificate(cf)

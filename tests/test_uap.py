@@ -217,6 +217,17 @@ def test_verify_rejects_corruption():
     )
     with pytest.raises(CertificateInvalidError):
         gl.verify_certificate(gl.CertifiedFunction(cf.func, bad_cert), 1e-9)
+    # an unbounded column, or a NaN one, is named by its index
+    for value in (1.0 + 1e-6, np.nan):
+        columns = list(cf.cert.columns)
+        columns[2] = gl.GroupFunction.constant(7, value)
+        bad_cert = gl.UapCertificate(
+            cf.cert.order, cf.cert.bound, weights=cf.cert.weights,
+            columns=tuple(columns), coeffs=cf.cert.coeffs,
+        )
+        with pytest.raises(CertificateInvalidError, match="column 2 unbounded") as err:
+            gl.verify_certificate(gl.CertifiedFunction(cf.func, bad_cert), 1e-9)
+        assert err.value.path == ("root", 2)
 
 
 def test_verify_error_carries_path():
