@@ -329,7 +329,7 @@ def _run_recur(args, cfg):
 
 def _run_vdw(args, cfg):
     if args.verb == "number":
-        res = vdw_number(args.k, args.m, n_max=args.max)
+        res = vdw_number(args.k, args.m, n_max=args.max, max_nodes=cfg.vdw_nodes)
         return {
             "k": res.k,
             "m": res.m,

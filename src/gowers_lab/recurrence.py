@@ -82,27 +82,26 @@ class EmpiricalC:
     sets_checked: int
 
 
-_POPCNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
-
-
-def _popcount(arr: np.ndarray) -> np.ndarray:
-    out = _POPCNT[arr & 0xFF]
-    for sh in (8, 16):
-        out = out + _POPCNT[(arr >> sh) & 0xFF]
-    return out
-
-
 def _ap_masks(n: int, k: int) -> np.ndarray:
-    masks = np.empty(n * n, dtype=np.int64)
-    i = 0
-    for x in range(n):
-        for r in range(n):
-            m = 0
-            for j in range(k):
-                m |= 1 << ((x + j * r) % n)
-            masks[i] = m
-            i += 1
+    """Bitmask of {x + jr mod n : j < k} for each pair (x, r), x-major."""
+    x, r = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    masks = np.zeros(n * n, dtype=np.int64)
+    for j in range(k):
+        masks |= np.int64(1) << ((x + j * r) % n)
     return masks
+
+
+def _subset_counts(n: int, k: int):
+    """Per mask S over Z_n: the number of (x, r) whose progression lies
+    in S (int32) and |S| (int8).  Counts of exact progression masks are
+    summed over subsets, one pass per bit (a zeta transform)."""
+    counts = np.bincount(_ap_masks(n, k), minlength=1 << n).astype(np.int32)
+    sizes = np.zeros(1 << n, dtype=np.int8)
+    for i in range(n):
+        v = counts.reshape(-1, 2, 1 << i)
+        v[:, 1] += v[:, 0]
+        sizes.reshape(-1, 2, 1 << i)[:, 1] += 1
+    return counts, sizes
 
 
 def _mask_to_tuple(mask: int, n: int) -> tuple:
@@ -119,53 +118,41 @@ def empirical_c(
 ) -> EmpiricalC:
     """Minimum progression average over subsets of density at least delta.
 
-    Exhaustive mode sweeps all 2^n subsets (n <= 22); random mode samples
-    subsets of the threshold size.  Ties go to the lexicographically
-    least witness set.
+    Exhaustive mode (n <= 22) counts the progressions inside every one of
+    the 2^n subsets at once with a subset-sum (zeta) transform over the
+    n^2 progression masks: n passes, O(n 2^n) time, one table of 2^n
+    int32 counts.  Random mode samples subsets of the threshold size.
+    Ties go to the lexicographically least witness set.
     """
+    if k < 1 or n < 1:
+        raise InvalidConfigurationError("need k, n >= 1")
     if not 0 < delta <= 1:
         raise InvalidConfigurationError("delta must lie in (0, 1]")
     size_req = ceil(delta * n - 1e-9)
-    aps = _ap_masks(n, k)
     if mode == "exhaustive":
         if n > EXHAUSTIVE_LIMIT:
             raise ModeError(
                 f"exhaustive sweep capped at n = {EXHAUSTIVE_LIMIT}, got {n}"
             )
-        best_count = None
-        best_masks = []
-        checked = 0
-        chunk = 1 << 14
-        for lo in range(0, 1 << n, chunk):
-            batch = np.arange(lo, min(lo + chunk, 1 << n), dtype=np.int64)
-            batch = batch[_popcount(batch) >= size_req]
-            if batch.size == 0:
-                continue
-            checked += batch.size
-            inside = (batch[:, None] & aps[None, :]) == aps[None, :]
-            counts = inside.sum(axis=1)
-            cmin = int(counts.min())
-            if best_count is None or cmin <= best_count:
-                winners = batch[counts == cmin]
-                if best_count is None or cmin < best_count:
-                    best_count = cmin
-                    best_masks = list(winners)
-                else:
-                    best_masks.extend(winners)
-        witness = min(_mask_to_tuple(int(m), n) for m in best_masks)
+        counts, sizes = _subset_counts(n, k)
+        eligible = sizes >= size_req
+        best_count = int(counts[eligible].min())
+        winners = np.flatnonzero(eligible & (counts == best_count))
+        witness = min(_mask_to_tuple(int(m), n) for m in winners)
         return EmpiricalC(
             k, n, delta, "exhaustive", best_count / (n * n), best_count,
-            witness, checked,
+            witness, int(np.count_nonzero(eligible)),
         )
     if mode == "random":
+        if n > 63 or samples < 1:
+            raise InvalidConfigurationError("random mode needs n <= 63, samples >= 1")
+        aps = _ap_masks(n, k)
         rng = derive_rng(seed, "empirical-c")
         best_count = None
         best_witness = None
         for _ in range(samples):
             pick = np.sort(rng.choice(n, size=size_req, replace=False))
-            mask = 0
-            for p in pick:
-                mask |= 1 << int(p)
+            mask = sum(1 << int(p) for p in pick)
             cnt = int(np.count_nonzero((mask & aps) == aps))
             tup = tuple(int(p) for p in pick)
             if best_count is None or cnt < best_count or (

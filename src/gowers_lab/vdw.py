@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import floor, inf, log10
 
-from .config import DEFAULT_DIGIT_LIMIT
+from .config import DEFAULT_DIGIT_LIMIT, DEFAULT_VDW_NODES
 from .errors import InvalidConfigurationError, SubproofError
 
 
@@ -149,7 +149,24 @@ class VdwSearch:
     nodes: int
 
 
-def vdw_number(k: int, m: int, n_max: int = 10000) -> VdwSearch:
+def _ending_masks(p: int, k: int) -> list:
+    """For each progression p - (k-1)r, .., p - r, p with r >= 1 inside
+    the 0-based positions, the bitmask of its k-1 points before p."""
+    return [
+        sum(1 << (p - j * r) for j in range(1, k))
+        for r in range(1, p // (k - 1) + 1)
+    ]
+
+
+def _search_result(k: int, m: int, best: list, complete: bool, nodes: int) -> VdwSearch:
+    n = len(best)
+    return VdwSearch(k, m, n + 1 if complete else None, n + 1,
+                     Colouring(n, m, tuple(best)), complete, nodes)
+
+
+def vdw_number(
+    k: int, m: int, n_max: int = 10000, max_nodes: int = DEFAULT_VDW_NODES
+) -> VdwSearch:
     """Smallest n such that every m-colouring of {1..n} has a mono k-AP.
 
     Depth-first search, positions left to right, colours ascending, with
@@ -157,67 +174,61 @@ def vdw_number(k: int, m: int, n_max: int = 10000) -> VdwSearch:
     only use colours up to one past the largest colour seen so far (in
     particular position 1 gets colour 1).  The first colouring reaching
     each depth is therefore the lexicographically least canonical one.
+    Each colour tried is one node, tested against one bitmask per colour.
     If no valid colouring of n_max - 1 ... n_max exists the exact value
-    is returned with the longest avoider as certificate; otherwise the
-    result is a lower bound with a full-length avoider.
+    is returned with the longest avoider as certificate; otherwise (n_max
+    or max_nodes reached) it is a lower bound with the longest avoider.
     """
-    if k < 1 or m < 1:
-        raise InvalidConfigurationError("need k, m >= 1")
+    if k < 1 or m < 1 or n_max < 0 or max_nodes < 0:
+        raise InvalidConfigurationError("need k, m >= 1 and n_max, max_nodes >= 0")
     if k == 1:
-        return VdwSearch(k, m, 1, 1, Colouring(0, m, ()), True, 0)
+        return _search_result(k, m, [], True, 0)
     # grown lazily to the deepest position reached; n_max only caps the search
-    aps_ending: list[list[tuple]] = []
-
-    def _aps_for(i: int):
-        while len(aps_ending) <= i:
-            p = len(aps_ending)
-            here = []
-            r = 1
-            while p - (k - 1) * r >= 0:
-                here.append(tuple(p - j * r for j in range(k - 1, 0, -1)))
-                r += 1
-            aps_ending.append(here)
-        return aps_ending[i]
-
+    ending: list[list[int]] = []
+    # cmask[c]: positions coloured c.  The colours in use are 1..t, and
+    # cmask holds 0..t plus one spare empty entry: it grows with t, not m
+    cmask = [0, 0]
     colours: list[int] = []
     best: list[int] = []
     nodes = 0
-    next_try = [1] * (n_max + 1)
-    max_used = [0] * (n_max + 1)
     pos = 0
+    c = 1  # next colour to try at pos
     while True:
         if pos == n_max:
-            return VdwSearch(
-                k, m, None, n_max + 1,
-                Colouring(n_max, m, tuple(colours)), False, nodes,
-            )
-        placed = False
-        c = next_try[pos]
-        cap = min(m, max_used[pos] + 1)
+            return _search_result(k, m, best, False, nodes)
+        if len(ending) == pos:
+            ending.append(_ending_masks(pos, k))
+        masks = ending[pos]
+        cap = min(m, len(cmask) - 1)
         while c <= cap:
+            if nodes == max_nodes:
+                return _search_result(k, m, best, False, nodes)
             nodes += 1
-            if not any(
-                all(colours[q] == c for q in ap) for ap in _aps_for(pos)
-            ):
-                colours.append(c)
-                next_try[pos] = c + 1
-                max_used[pos + 1] = max(max_used[pos], c)
-                pos += 1
-                next_try[pos] = 1
-                if pos > len(best):
-                    best = colours.copy()
-                placed = True
-                break
+            bits = cmask[c]
+            for a in masks:
+                if bits & a == a:
+                    break  # c closes a monochromatic progression
+            else:
+                break  # c is free at pos
             c += 1
-        if not placed:
-            next_try[pos] = 1
+        if c <= cap:
+            colours.append(c)
+            cmask[c] |= 1 << pos
+            if c == len(cmask) - 1:
+                cmask.append(0)
+            pos += 1
+            c = 1
+            if pos > len(best):
+                best = colours.copy()
+        else:
             pos -= 1
             if pos < 0:
-                return VdwSearch(
-                    k, m, len(best) + 1, len(best) + 1,
-                    Colouring(len(best), m, tuple(best)), True, nodes,
-                )
-            colours.pop()
+                return _search_result(k, m, best, True, nodes)
+            c = colours.pop()
+            cmask[c] ^= 1 << pos
+            if not cmask[c]:  # c was the newest colour
+                cmask.pop()
+            c += 1
 
 
 def audit_minimality(k: int, m: int, n: int, trials: int, seed: int = 0) -> bool:

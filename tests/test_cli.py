@@ -365,6 +365,32 @@ def test_vdw_number_and_check(tmp_path, capsys):
     assert env["report"]["mono_ap"] == [1, 1]
 
 
+def test_vdw_node_budget_binds(capsys):
+    argv = ["vdw", "number", "--k", "3", "--m", "2", "--budget-vdw-nodes"]
+    rc, env = run_json(capsys, argv + ["5"])
+    assert rc == 0
+    rep = env["report"]
+    assert rep["nodes"] == 5 and not rep["complete"] and rep["value"] is None
+    col = gl.Colouring(rep["avoider"]["n"], 2, tuple(rep["avoider"]["colours"]))
+    assert rep["lower_bound"] == col.n + 1
+    assert gl.find_mono_ap(col, 3) is None
+    rc, env = run_json(capsys, argv + ["79"])
+    assert rc == 0
+    assert env["report"]["value"] == 9 and env["report"]["complete"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["recur", "empirical-c", "--k", "3", "--delta", "0.5", "--n", "0"],
+    ["recur", "empirical-c", "--k", "3", "--delta", "0.5", "--n", "-2"],
+    ["recur", "empirical-c", "--k", "0", "--delta", "0.5", "--n", "5"],
+    ["vdw", "number", "--k", "3", "--m", "2", "--max", "-1"],
+])
+def test_bad_search_inputs_get_error_envelope(capsys, argv):
+    rc, err = run_json(capsys, argv)
+    assert rc == 1
+    assert err["error"]["type"] == "InvalidConfigurationError"
+
+
 def test_vdw_bound(capsys):
     rc, env = run_json(capsys, ["vdw", "bound", "--k", "2", "--m", "3"])
     assert rc == 0

@@ -1,7 +1,12 @@
 """Progression averages, the exhaustive recurrence constant, gating
 sets, greedy nets, and the Monte Carlo finite-rank sampler."""
+from functools import lru_cache
+from math import ceil
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gowers_lab as gl
 from gowers_lab.errors import (
@@ -12,7 +17,13 @@ from gowers_lab.errors import (
     ModeError,
 )
 from gowers_lab.partitions import Partition
-from gowers_lab.recurrence import EXHAUSTIVE_LIMIT, count_ap_instances
+from gowers_lab.recurrence import (
+    EXHAUSTIVE_LIMIT,
+    EmpiricalC,
+    _mask_to_tuple,
+    _subset_counts,
+    count_ap_instances,
+)
 
 
 def random_members(rng, n, size):
@@ -97,6 +108,91 @@ def test_empirical_c_z17_frozen():
     assert count_ap_instances(rep.witness, 17, 3) == 37
 
 
+_POPCNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
+
+
+def _popcount(arr):
+    out = _POPCNT[arr & 0xFF]
+    for sh in (8, 16):
+        out = out + _POPCNT[(arr >> sh) & 0xFF]
+    return out
+
+
+def ap_masks_loop(n, k):
+    masks = np.empty(n * n, dtype=np.int64)
+    i = 0
+    for x in range(n):
+        for r in range(n):
+            m = 0
+            for j in range(k):
+                m |= 1 << ((x + j * r) % n)
+            masks[i] = m
+            i += 1
+    return masks
+
+
+def empirical_c_sweep(k, delta, n):
+    """The exhaustive minimum by a chunked sweep that tests every subset
+    against every progression mask: the reference the zeta transform is
+    held to."""
+    size_req = ceil(delta * n - 1e-9)
+    aps = ap_masks_loop(n, k)
+    best_count = None
+    best_masks = []
+    checked = 0
+    chunk = 1 << 14
+    for lo in range(0, 1 << n, chunk):
+        batch = np.arange(lo, min(lo + chunk, 1 << n), dtype=np.int64)
+        batch = batch[_popcount(batch) >= size_req]
+        if batch.size == 0:
+            continue
+        checked += batch.size
+        inside = (batch[:, None] & aps[None, :]) == aps[None, :]
+        counts = inside.sum(axis=1)
+        cmin = int(counts.min())
+        if best_count is None or cmin <= best_count:
+            winners = batch[counts == cmin]
+            if best_count is None or cmin < best_count:
+                best_count = cmin
+                best_masks = list(winners)
+            else:
+                best_masks.extend(winners)
+    witness = min(_mask_to_tuple(int(m), n) for m in best_masks)
+    return EmpiricalC(
+        k, n, delta, "exhaustive", best_count / (n * n), best_count,
+        witness, checked,
+    )
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_zeta_transform_matches_sweep_reference(k):
+    # every field: c_min, count_min, witness and sets_checked
+    for n in list(range(1, 17)) + [19]:
+        for delta in (0.3, 0.5, 0.7):
+            assert gl.empirical_c(k, delta, n) == empirical_c_sweep(k, delta, n)
+
+
+@lru_cache(maxsize=None)
+def subset_counts(n, k):
+    return _subset_counts(n, k)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 14).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.integers(1, 5), st.sets(st.integers(0, n - 1))
+        )
+    )
+)
+def test_zeta_table_counts_every_subset(case):
+    n, k, members = case
+    counts, sizes = subset_counts(n, k)
+    mask = sum(1 << m for m in members)
+    assert counts[mask] == count_ap_instances(members, n, k)
+    assert sizes[mask] == len(members)
+
+
 def test_empirical_c_random_mode_deterministic():
     a = gl.empirical_c(3, 0.4, 29, mode="random", samples=60, seed=5)
     b = gl.empirical_c(3, 0.4, 29, mode="random", samples=60, seed=5)
@@ -113,6 +209,13 @@ def test_empirical_c_mode_errors():
         gl.empirical_c(3, 0.5, 10, mode="annealed")
     with pytest.raises(InvalidConfigurationError):
         gl.empirical_c(3, 0.0, 10)
+    for k, n in ((0, 10), (3, 0), (3, -2)):
+        with pytest.raises(InvalidConfigurationError):
+            gl.empirical_c(k, 0.5, n)
+    with pytest.raises(InvalidConfigurationError):
+        gl.empirical_c(3, 0.5, 64, mode="random")
+    with pytest.raises(InvalidConfigurationError):
+        gl.empirical_c(3, 0.5, 10, mode="random", samples=0)
 
 
 def test_find_k_ap_lex_least():

@@ -3,10 +3,19 @@ and the big-integer bound recursion."""
 from math import floor, log10
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gowers_lab as gl
 from gowers_lab.errors import InvalidConfigurationError, SubproofError
-from gowers_lab.vdw import Colouring, Fan, FanSubproofs, find_mono_ap
+from gowers_lab.vdw import (
+    Colouring,
+    Fan,
+    FanSubproofs,
+    VdwSearch,
+    _ending_masks,
+    find_mono_ap,
+)
 
 
 def test_colouring_validation():
@@ -36,6 +45,108 @@ def test_find_mono_ap_lex_least():
 
 # ---------------------------------------------------------------------------
 # exact W(k, m)
+
+
+def vdw_loop(k, m, n_max=10000):
+    """The search with the colour test done position by position: the
+    reference the per-colour bitmask search is held to."""
+    if k == 1:
+        return VdwSearch(k, m, 1, 1, Colouring(0, m, ()), True, 0)
+    aps_ending = []
+
+    def _aps_for(i):
+        while len(aps_ending) <= i:
+            p = len(aps_ending)
+            here = []
+            r = 1
+            while p - (k - 1) * r >= 0:
+                here.append(tuple(p - j * r for j in range(k - 1, 0, -1)))
+                r += 1
+            aps_ending.append(here)
+        return aps_ending[i]
+
+    colours = []
+    best = []
+    nodes = 0
+    next_try = [1] * (n_max + 1)
+    max_used = [0] * (n_max + 1)
+    pos = 0
+    while True:
+        if pos == n_max:
+            return VdwSearch(
+                k, m, None, n_max + 1,
+                Colouring(n_max, m, tuple(colours)), False, nodes,
+            )
+        placed = False
+        c = next_try[pos]
+        cap = min(m, max_used[pos] + 1)
+        while c <= cap:
+            nodes += 1
+            if not any(
+                all(colours[q] == c for q in ap) for ap in _aps_for(pos)
+            ):
+                colours.append(c)
+                next_try[pos] = c + 1
+                max_used[pos + 1] = max(max_used[pos], c)
+                pos += 1
+                next_try[pos] = 1
+                if pos > len(best):
+                    best = colours.copy()
+                placed = True
+                break
+            c += 1
+        if not placed:
+            next_try[pos] = 1
+            pos -= 1
+            if pos < 0:
+                return VdwSearch(
+                    k, m, len(best) + 1, len(best) + 1,
+                    Colouring(len(best), m, tuple(best)), True, nodes,
+                )
+            colours.pop()
+
+
+REFERENCE_GRID = (
+    [(2, m, 10000) for m in range(1, 7)]
+    + [(3, 2, 10000), (3, 3, 10000), (4, 2, 10000)]
+    + [(3, 3, n) for n in (0, 1, 10, 26, 27, 40)]
+    + [(4, 2, n) for n in (5, 34, 35)]
+    + [(5, 2, 60)]
+)
+
+
+@pytest.mark.parametrize("k,m,n_max", REFERENCE_GRID)
+def test_bitmask_search_matches_loop_reference(k, m, n_max):
+    # every field: value, lower bound, avoider, completeness and nodes
+    assert gl.vdw_number(k, m, n_max=n_max) == vdw_loop(k, m, n_max)
+
+
+def has_mono_ap_by_masks(col, k):
+    """A colouring has a mono k-AP iff some position closes one with its
+    own colour over the earlier positions, tested as the search does."""
+    cmask = [0] * (col.m + 1)
+    for p, c in enumerate(col.colours):
+        if any(cmask[c] & a == a for a in _ending_masks(p, k)):
+            return True
+        cmask[c] |= 1 << p
+    return False
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.integers(2, 5).flatmap(
+        lambda k: st.integers(1, 4).flatmap(
+            lambda m: st.tuples(
+                st.just(k), st.lists(st.integers(1, m), max_size=40).map(
+                    lambda cols: Colouring(len(cols), m, tuple(cols))
+                ),
+            )
+        )
+    )
+)
+def test_bitmask_ap_test_agrees_with_find_mono_ap(case):
+    k, col = case
+    assert has_mono_ap_by_masks(col, k) == (find_mono_ap(col, k) is not None)
 
 
 def test_two_term_progressions_need_m_plus_one():
@@ -78,6 +189,30 @@ def test_vdw_trivial_and_incomplete():
     assert find_mono_ap(part.avoider, 3) is None
     with pytest.raises(InvalidConfigurationError):
         gl.vdw_number(0, 2)
+    with pytest.raises(InvalidConfigurationError):
+        gl.vdw_number(3, 2, n_max=-1)
+    with pytest.raises(InvalidConfigurationError):
+        gl.vdw_number(3, 2, max_nodes=-1)
+
+
+def test_node_budget_binds():
+    part = gl.vdw_number(3, 2, max_nodes=5)
+    assert part.nodes == 5
+    assert not part.complete and part.value is None
+    assert part.lower_bound == part.avoider.n + 1
+    assert find_mono_ap(part.avoider, 3) is None
+    assert gl.vdw_number(3, 2, max_nodes=0).nodes == 0
+    # the search needs exactly 79 nodes, so a budget of 79 binds nothing
+    full = gl.vdw_number(3, 2, max_nodes=79)
+    assert (full.value, full.nodes, full.complete) == (9, 79, True)
+
+
+def test_memory_grows_with_depth_not_n_max_or_m():
+    res = gl.vdw_number(3, 2, n_max=10 ** 12)
+    assert (res.value, res.nodes, res.complete) == (9, 79, True)
+    part = gl.vdw_number(3, 10 ** 12, n_max=10 ** 12, max_nodes=50)
+    assert part.nodes == 50 and not part.complete
+    assert find_mono_ap(part.avoider, 3) is None
 
 
 # ---------------------------------------------------------------------------
