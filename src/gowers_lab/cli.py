@@ -238,6 +238,7 @@ def _run_structure(args, cfg):
         budget=cfg.driver_steps,
         node_budget=cfg.cert_nodes,
         tol=cfg.tol,
+        degree_budget=cfg.poly_degree,
     )
     checks = verify_decomposition(f, dec, tol=cfg.tol)
     report = {

@@ -110,7 +110,8 @@ def _same_group(f: GroupFunction, g: GroupFunction):
 
 def shift(f: GroupFunction, n: int) -> GroupFunction:
     """(T^n f)(x) = f(x + n)."""
-    return GroupFunction(f.n, np.roll(f.values, -int(n) % f.n))
+    n = int(n) % f.n
+    return GroupFunction(f.n, np.concatenate((f.values[n:], f.values[:n])))
 
 
 def dilate(f: GroupFunction, lam: int) -> GroupFunction:

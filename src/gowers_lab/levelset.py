@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL, derive_rng
+from .config import DEFAULT_POLY_DEGREE, DEFAULT_TOL, derive_rng
 from .cyclic import GroupFunction, l2_norm, linf_norm
 from .errors import (
     ApproximationBudgetError,
@@ -194,11 +194,15 @@ def _is_single_phase(g: LevelSetGenerator) -> bool:
     return g.certified.phase_terms is not None and len(g.certified.phase_terms) == 1
 
 
+_DEGREE_LADDER = (4, 8, 16, 32, 64)
+
+
 def _bernstein_single_phase(
-    f: GroupFunction, algebra: CompactAlgebra, delta: float
+    f: GroupFunction, algebra: CompactAlgebra, delta: float, degree_budget: int
 ):
     """Bernstein route for one single-phase generator; returns
-    (terms, error) or (None, best error) when the degree budget runs out.
+    (terms, error) or (None, best error) when the degree budget runs out:
+    rungs of the degree ladder above degree_budget are skipped.
 
     The generator is gamma e(Q(x)/n), so every atom is a union of arcs in
     the phase variable t = Q(x)/n mod 1.  The target is smoothed along t,
@@ -239,7 +243,7 @@ def _bernstein_single_phase(
         kernel = np.exp(-2 * (np.pi * sigma * freqs) ** 2)
         smooth = np.fft.ifft(np.fft.fft(target) * kernel)
 
-        for degree in (4, 8, 16, 32, 64):
+        for degree in (d for d in _DEGREE_LADDER if d <= degree_budget):
             # tensor Bernstein sample values h(a/D, b/D) from the smoothed
             # target at the angle matching each circle node
             d_deg = degree
@@ -298,20 +302,24 @@ def approximate_measurable(
     delta: float,
     method: str = "auto",
     tol: float = DEFAULT_TOL,
+    degree_budget: int = DEFAULT_POLY_DEGREE,
 ) -> ApproximationResult:
     """Certify a function within L2 distance delta of a measurable f.
 
     f must be constant on the atoms of the algebra.  The certificate is
     promoted to the algebra's order.  Routes: 'bernstein' composites a
     Bernstein polynomial with the generator's phase and fails honestly
-    with the achieved error when the degree budget (64, with three sigma
-    halvings) is exhausted; 'spectral' expands f in characters, which is
-    exact with bound the l1 mass of the spectrum; 'auto' tries the first
+    with the achieved error when the degree budget (the degrees 4, 8,
+    16, 32, 64 up to degree_budget, each with three sigma halvings) is
+    exhausted; 'spectral' expands f in characters, which is exact with
+    bound the l1 mass of the spectrum; 'auto' tries the first
     when the algebra has a single single-phase generator and falls back
     to the second.
     """
     if method not in ("auto", "bernstein", "spectral"):
         raise ModeError(f"unknown method {method!r}")
+    if degree_budget < _DEGREE_LADDER[0]:
+        raise InvalidConfigurationError(f"polynomial degree budget {degree_budget} below 4")
     proj = conditional_expectation(f, algebra.partition)
     meas_gap = linf_norm(f - proj)
     if meas_gap > tol * max(1.0, linf_norm(f)):
@@ -341,7 +349,7 @@ def approximate_measurable(
                 "Bernstein route needs exactly one single-phase generator",
                 achieved=None,
             )
-        terms, err = _bernstein_single_phase(f, algebra, delta)
+        terms, err = _bernstein_single_phase(f, algebra, delta, degree_budget)
         if terms is not None:
             cf = certify_phase_sum(n, terms)
             cf = cert_promote(cf, max(target_order, cf.cert.order))

@@ -108,6 +108,19 @@ def _mask_to_tuple(mask: int, n: int) -> tuple:
     return tuple(i for i in range(n) if mask >> i & 1)
 
 
+def _lex_least(masks: np.ndarray, n: int) -> tuple:
+    """The lexicographically least member tuple of some distinct masks,
+    lowest bit first.  The masks left agree below bit i; where they differ
+    at bit i, a mask with no bit at or above i is a prefix of the others
+    and least, and otherwise the masks holding bit i are."""
+    for i in range(n):
+        held = (masks >> i) & 1 == 1
+        if 0 < np.count_nonzero(held) < masks.size:
+            ended = masks[masks >> i == 0]
+            masks = ended if ended.size else masks[held]
+    return _mask_to_tuple(int(masks[0]), n)
+
+
 def empirical_c(
     k: int,
     delta: float,
@@ -138,7 +151,7 @@ def empirical_c(
         eligible = sizes >= size_req
         best_count = int(counts[eligible].min())
         winners = np.flatnonzero(eligible & (counts == best_count))
-        witness = min(_mask_to_tuple(int(m), n) for m in winners)
+        witness = _lex_least(winners, n)
         return EmpiricalC(
             k, n, delta, "exhaustive", best_count / (n * n), best_count,
             witness, int(np.count_nonzero(eligible)),

@@ -23,7 +23,9 @@ from math import ceil
 
 import numpy as np
 
-from .config import DEFAULT_TOL, DEFAULT_DRIVER_BUDGET, DEFAULT_CERT_NODE_BUDGET
+from .config import (
+    DEFAULT_TOL, DEFAULT_DRIVER_BUDGET, DEFAULT_CERT_NODE_BUDGET, DEFAULT_POLY_DEGREE,
+)
 from .cyclic import GroupFunction, expectation, l2_norm, linf_norm
 from .errors import (
     BoundednessError,
@@ -99,6 +101,7 @@ def structure_dichotomy(
     method: str = "auto",
     node_budget: int = DEFAULT_CERT_NODE_BUDGET,
     tol: float = DEFAULT_TOL,
+    degree_budget: int = DEFAULT_POLY_DEGREE,
 ):
     """One step: Decomposition on success, EnergyIncrement otherwise.
 
@@ -118,7 +121,8 @@ def structure_dichotomy(
             f"energy gap {e_ref - e_base:.3e} already above tau^2 = {tau * tau:.3e}"
         )
     f_perp = conditional_expectation(f, refined.partition)
-    approx = approximate_measurable(f_perp, refined, tau, method=method, tol=tol)
+    approx = approximate_measurable(f_perp, refined, tau, method=method, tol=tol,
+                                    degree_budget=degree_budget)
     if threshold is None:
         threshold = default_threshold(k, delta, approx.certified.cert.bound)
     f_u = f - f_perp
@@ -204,6 +208,7 @@ def decompose(
     budget: int = DEFAULT_DRIVER_BUDGET,
     node_budget: int = DEFAULT_CERT_NODE_BUDGET,
     tol: float = DEFAULT_TOL,
+    degree_budget: int = DEFAULT_POLY_DEGREE,
 ) -> Decomposition:
     """Run the two-speed energy-increment loop from the trivial algebra."""
     _check_density(f, tol)
@@ -221,7 +226,7 @@ def decompose(
         result = structure_dichotomy(
             f, k, base, refined, delta,
             threshold=threshold, seed=seed, method=method,
-            node_budget=node_budget, tol=tol,
+            node_budget=node_budget, tol=tol, degree_budget=degree_budget,
         )
         e_base = energy([f], base.partition)
         if isinstance(result, Decomposition):

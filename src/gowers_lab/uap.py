@@ -15,7 +15,11 @@ certificate only ever asserts an upper bound.
 Storage convention: for an order-1 certificate the coefficients are a
 dense complex matrix indexed (n, h); for order >= 2 they are nested
 CertifiedFunction nodes, shared structurally where the constructions
-allow (shifted re-indexings of a common subtree).
+allow.  certify_dual keeps that sharing: the N shifts of a sub-certificate
+(cert_shift) hold one columns tuple, one weights array and the same
+coefficient rows.  verify_certificate checks each row once, the weights
+and columns once per column set, and the reconstructions of a column set
+in one stacked product.
 """
 from __future__ import annotations
 
@@ -42,7 +46,7 @@ from .errors import (
     ResourceLimitError,
     UnsupportedOrderError,
 )
-from .gowers import _shift_table, gowers_norm
+from .gowers import _BLOCK, _shift_table, gowers_norm
 from .cyclic import inner_product, shift
 
 
@@ -111,15 +115,8 @@ class VerificationReport:
     total_nodes: int
 
 
-def _reconstruction_rows(cf: CertifiedFunction, cols: np.ndarray) -> np.ndarray:
-    """M . sum_h w_h c_{n,h} g_h as an (N, N) matrix indexed (n, x), for
-    the columns g_h stacked as an (H, N) array."""
-    cert = cf.cert
-    if cert.order == 1:
-        coeff = np.asarray(cert.coeffs, dtype=np.complex128)  # (N, H)
-        return cert.bound * (coeff * cert.weights[None, :]) @ cols
-    coeff = np.array([[c.func.values for c in row] for row in cert.coeffs])  # (N, H, N)
-    return cert.bound * np.einsum("ihx,hx->ix", coeff, cert.weights[:, None] * cols)
+# the stages of one node's checks, in the order the failure is reported
+_PRE, _SET, _COEFF, _RECON = range(4)
 
 
 def verify_certificate(
@@ -127,96 +124,169 @@ def verify_certificate(
 ) -> VerificationReport:
     """Re-check every layer of a certificate; raise on the first failure.
 
-    Shared subtrees are verified once.  The returned report carries the
-    worst reconstruction error seen, the tree depth, and the number of
-    distinct nodes.
+    A depth-first walk visits each distinct node once (shared subtrees are
+    verified once) and runs its own checks: the bound, the order-0
+    constant, the coefficient structure.  Nodes that share one column set,
+    that is the same columns, weights, order and N, as the N shifts of a
+    sub-certificate built by certify_dual do, get the weight and column
+    checks once per set, and their reconstructions are checked in one
+    stacked product per block.  The failure raised is the one met first:
+    the earliest node in walk order, and within a node the first of
+    bound, weights, columns, coefficients, reconstruction.  The returned
+    report carries the worst reconstruction error seen, the tree depth,
+    and the number of distinct nodes.
     """
-    seen: dict[int, None] = {}
-    worst = 0.0
-    max_depth = 0
+    nodes, paths, depth, worst, fails = _walk(cf, tol)
+    done = fails[0][0] if fails else len(nodes)  # nodes before it passed the walk
+    sets: dict = {}
+    for k, node in enumerate(nodes):
+        cert = node.cert
+        if cert.order == 0 or (k == done and fails[0][1] == _PRE):
+            continue
+        key = (id(cert.columns), id(cert.weights), cert.order, node.n)
+        sets.setdefault(key, []).append(k)
+    for members in sets.values():
+        worst = max(worst, _check_set(nodes, members, tol, done, fails))
+    if fails:
+        k, _, message, slot = min(fails, key=lambda fail: fail[:2])
+        raise CertificateInvalidError(message, paths[k] + slot)
+    return VerificationReport(worst, depth, len(nodes))
 
+
+def _walk(cf: CertifiedFunction, tol: float):
+    """Depth-first walk over the distinct nodes, checking each node on its
+    own; it stops at the first node that fails such a check.  Returns the
+    nodes in walk order, their paths, the depth, the worst order-0 error
+    and the failure as [(index, stage, message, slot)].
+
+    A row of sub-certificates is checked and pushed once however many
+    nodes hold it (cert_shift re-indexes rows without copying them).  A
+    node that meets the row again has the same order, so it lies outside
+    the first holder's subtree, which the walk has finished: every entry
+    of the row is visited by then."""
+    nodes, paths, seen, rows = [], [], set(), set()
+    depth, worst = 0, 0.0
     stack = [(cf, 0, ("root",))]
     while stack:
-        node, depth, path = stack.pop()
-        max_depth = max(max_depth, depth)
+        node, dep, path = stack.pop()
         if id(node) in seen:
             continue
-        seen[id(node)] = None
+        seen.add(id(node))
+        nodes.append(node)
+        paths.append(path)
+        depth = max(depth, dep)
         cert = node.cert
         atol = tol * max(1.0, cert.bound)
+        fail = None
         if cert.bound < 0:
-            raise CertificateInvalidError("negative bound", path)
-        if cert.order == 0:
+            fail = _PRE, "negative bound", ()
+        elif cert.order == 0:
             if cert.value is None:
-                raise CertificateInvalidError("order-0 node without a constant", path)
-            if abs(cert.value) > cert.bound + atol:
-                raise CertificateInvalidError(
-                    f"constant modulus {abs(cert.value):.6g} exceeds bound {cert.bound:.6g}",
-                    path,
-                )
-            err = float(np.max(np.abs(node.func.values - cert.value)))
-            if err > atol:
-                raise CertificateInvalidError(
-                    f"order-0 function is not the certified constant (err {err:.3e})",
-                    path,
-                )
-            worst = max(worst, err)
-            continue
-        if cert.weights is None or cert.columns is None or cert.coeffs is None:
-            raise CertificateInvalidError("missing weights/columns/coefficients", path)
-        w = np.asarray(cert.weights, dtype=float)
-        if np.any(w < -tol):
-            raise CertificateInvalidError("negative weight", path)
-        if abs(float(w.sum()) - 1.0) > tol * max(1, len(w)):
-            raise CertificateInvalidError(f"weights sum to {w.sum()!r}, not 1", path)
-        for j, g in enumerate(cert.columns):
-            if g.n != node.n:
-                raise CertificateInvalidError("column on wrong group", path + (j,))
-        cols = np.stack([g.values for g in cert.columns])  # (H, N)
+                fail = _PRE, "order-0 node without a constant", ()
+            elif abs(cert.value) > cert.bound + atol:
+                fail = (_PRE, f"constant modulus {abs(cert.value):.6g} exceeds bound "
+                        f"{cert.bound:.6g}", ())
+            else:
+                err = float(np.max(np.abs(node.func.values - cert.value)))
+                if err > atol:
+                    fail = (_PRE, "order-0 function is not the certified constant "
+                            f"(err {err:.3e})", ())
+                worst = max(worst, err)
+        elif cert.weights is None or cert.columns is None or cert.coeffs is None:
+            fail = _PRE, "missing weights/columns/coefficients", ()
+        elif cert.order == 1:
+            shape = np.shape(np.asarray(cert.coeffs, dtype=np.complex128))
+            if shape != (node.n, len(cert.columns)):
+                fail = _COEFF, "coefficient matrix shape mismatch", ()
+        elif len(cert.coeffs) != node.n:
+            fail = _COEFF, "coefficient rows != N", ()
+        else:
+            depth = max(depth, dep + 1)
+            for i, row in enumerate(cert.coeffs):
+                key = (id(row), cert.order, len(cert.columns))
+                if key in rows:
+                    continue
+                fail = _row_failure(row, cert.order, len(cert.columns), tol)
+                if fail is not None:
+                    fail = _COEFF, fail[0], (i,) + fail[1]
+                    break
+                rows.add(key)
+                stack.extend((sub, dep + 1, path + (i, j))
+                             for j, sub in enumerate(row) if id(sub) not in seen)
+        if fail is not None:
+            return nodes, paths, depth, worst, [(len(nodes) - 1,) + fail]
+    return nodes, paths, depth, worst, []
+
+
+def _row_failure(row, order: int, h: int, tol: float):
+    """The first failed check on one row of an order >= 2 node, as
+    (message, slot within the row), or None."""
+    if len(row) != h:
+        return "coefficient row length mismatch", ()
+    for j, sub in enumerate(row):
+        if not isinstance(sub, CertifiedFunction):
+            return "coefficient of an order >= 2 node must be certified", (j,)
+        if sub.cert.order != order - 1:
+            return f"coefficient order {sub.cert.order}, expected {order - 1}", (j,)
+        if sub.cert.bound > 1.0 + tol:
+            return f"coefficient bound {sub.cert.bound:.6g} exceeds 1", (j,)
+    return None
+
+
+def _check_set(nodes: list, members: list, tol: float, done: int, fails: list) -> float:
+    """Check one column set: the weights and columns once, at its first
+    member in walk order, then T^i F = M . sum_h w_h c_{i,h} g_h for every
+    member that passed the walk, stacked in blocks of at most _BLOCK
+    complex entries: at order 1 one (B.N, H) @ (H, N) product, at order
+    >= 2 one einsum.  Records each failure; returns the worst error."""
+    first = nodes[members[0]]
+    order, n = first.cert.order, first.n
+    w = np.asarray(first.cert.weights, dtype=float)
+    fail = None
+    if np.any(w < -tol):
+        fail = "negative weight", ()
+    elif abs(float(w.sum()) - 1.0) > tol * max(1, len(w)):
+        fail = f"weights sum to {w.sum()!r}, not 1", ()
+    else:
+        wrong = [j for j, g in enumerate(first.cert.columns) if g.n != n]
+        if wrong:
+            fail = "column on wrong group", (wrong[0],)
+    if fail is None:
+        cols = np.stack([g.values for g in first.cert.columns])  # (H, N)
         # the is_bounded test on every column at once; NaN counts as unbounded
         unbounded = np.flatnonzero(~(np.max(np.abs(cols), axis=1) <= 1.0 + tol))
         if unbounded.size:
-            j = int(unbounded[0])
-            raise CertificateInvalidError(f"column {j} unbounded", path + (j,))
-        if cert.order == 1:
-            coeff = np.asarray(cert.coeffs, dtype=np.complex128)
-            if coeff.shape != (node.n, len(cert.columns)):
-                raise CertificateInvalidError("coefficient matrix shape mismatch", path)
-            if np.max(np.abs(coeff)) > 1.0 + tol:
-                raise CertificateInvalidError("order-0 coefficient exceeds 1", path)
+            fail = f"column {unbounded[0]} unbounded", (int(unbounded[0]),)
+    if fail is not None:
+        fails.append((members[0], _SET) + fail)
+        return 0.0
+    h = cols.shape[0]
+    members = [k for k in members if k < done]
+    certs = [nodes[k].cert for k in members]
+    bounds = np.array([c.bound for c in certs])[:, None, None]
+    atol = np.array([tol * max(1.0, c.bound) for c in certs]) * n
+    funcs = np.array([nodes[k].func.values for k in members])  # (K, N)
+    idx = _shift_table(n)
+    step = max(1, _BLOCK // (n * (max(h, n) if order == 1 else h * n)))
+    worst = 0.0
+    for lo in range(0, len(members), step):
+        hi = lo + step
+        if order == 1:
+            coeff = np.array([c.coeffs for c in certs[lo:hi]], dtype=np.complex128)  # (B, N, H)
+            over = np.max(np.abs(coeff), axis=(1, 2)) > 1.0 + tol
+            recon = (bounds[lo:hi] * (coeff * w)).reshape(-1, h) @ cols
         else:
-            if len(cert.coeffs) != node.n:
-                raise CertificateInvalidError("coefficient rows != N", path)
-            for i, row in enumerate(cert.coeffs):
-                if len(row) != len(cert.columns):
-                    raise CertificateInvalidError("coefficient row length mismatch", path + (i,))
-                for j, sub in enumerate(row):
-                    if not isinstance(sub, CertifiedFunction):
-                        raise CertificateInvalidError(
-                            "coefficient of an order >= 2 node must be certified",
-                            path + (i, j),
-                        )
-                    if sub.cert.order != cert.order - 1:
-                        raise CertificateInvalidError(
-                            f"coefficient order {sub.cert.order}, expected {cert.order - 1}",
-                            path + (i, j),
-                        )
-                    if sub.cert.bound > 1.0 + tol:
-                        raise CertificateInvalidError(
-                            f"coefficient bound {sub.cert.bound:.6g} exceeds 1",
-                            path + (i, j),
-                        )
-                    stack.append((sub, depth + 1, path + (i, j)))
-        recon = _reconstruction_rows(node, cols)
-        shifted = node.func.values[_shift_table(node.n)]
-        err = float(np.max(np.abs(shifted - recon)))
-        if err > atol * node.n:
-            raise CertificateInvalidError(
-                f"reconstruction error {err:.3e} beyond tolerance", path
-            )
-        worst = max(worst, err)
-
-    return VerificationReport(worst, max_depth, len(seen))
+            coeff = np.array([[[s.func.values for s in row] for row in c.coeffs]
+                              for c in certs[lo:hi]])  # (B, N, H, N)
+            over = np.zeros(coeff.shape[0], dtype=bool)
+            recon = bounds[lo:hi] * np.einsum("bihx,hx->bix", coeff, w[:, None] * cols)
+        err = np.max(np.abs(funcs[lo:hi, idx] - recon.reshape(-1, n, n)), axis=(1, 2))
+        for b in np.flatnonzero(over | (err > atol[lo:hi])):
+            k = members[lo + b]
+            fails.append((k, _COEFF, "order-0 coefficient exceeds 1", ()) if over[b] else
+                         (k, _RECON, f"reconstruction error {err[b]:.3e} beyond tolerance", ()))
+        worst = max(worst, *err.tolist())
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +457,8 @@ def cert_shift(cf: CertifiedFunction, s: int) -> CertifiedFunction:
     if cert.order == 0:
         return CertifiedFunction(func, cert, terms)
     if cert.order == 1:
-        coeffs = np.roll(np.asarray(cert.coeffs), -s, axis=0)
+        coeffs = np.asarray(cert.coeffs)
+        coeffs = np.concatenate((coeffs[s:], coeffs[:s]))  # np.roll by -s, without its overhead
     else:
         coeffs = tuple(cert.coeffs[(i + s) % cf.n] for i in range(cf.n))
     new = UapCertificate(cert.order, cert.bound, weights=cert.weights,
@@ -607,12 +678,14 @@ def certify_dual(
 
     The representation shifts the defining average: with g_h = T^h f,
 
-        T^i D_d(f) = E( [T^i conj(D_{d-1}(conj(f) T^{h-i} f))] . g_h | h ),
+        T^i D_d(f) = E( [T^i D_{d-1}(f . conj(T^{h-i} f))] . g_h | h ),
 
-    so the coefficient at (i, h) depends on h - i only, and the N
-    sub-certificates are shared across the N^2 coefficient slots.  The
-    function itself is assembled from the same sub-certificates at i = 0,
-    so every sub-dual is computed once.
+    using conj(D_{d-1}(g)) = D_{d-1}(conj(g)), which holds because every
+    derivative commutes with conjugation.  So the coefficient at (i, h)
+    depends on h - i only: the N shifts of one sub-certificate share its
+    columns and weights, and the N sub-certificates fill the N^2
+    coefficient slots.  The function itself is assembled from the same
+    sub-certificates at i = 0, so every sub-dual is computed once.
     """
     if d < 1:
         raise UnsupportedOrderError("dual certificates need d >= 1")
@@ -630,19 +703,17 @@ def certify_dual(
         return CertifiedFunction(GroupFunction.constant(n, mean), cert)
     idx = _shift_table(n)
     shifted = f.values[idx]  # row h is T^h f
-    conj_vals = np.conj(f.values)
     columns = tuple(GroupFunction(n, row) for row in shifted)
     weights = np.full(n, 1.0 / n)
-    # D_d(f) = E( c_h . T^h f | h ) with c_h = conj(D_{d-1}(conj(f) T^h f))
+    # D_d(f) = E( c_h . T^h f | h ) with c_h = D_{d-1}(f . conj(T^h f))
     if d == 2:
         # the c_h are the constants conj(E(conj(f) T^h f)); slot (i, h) holds c_{h-i}
-        consts = np.conj((conj_vals * shifted).mean(axis=1))
+        consts = np.conj((np.conj(f.values) * shifted).mean(axis=1))
         coeffs = consts[idx[-np.arange(n) % n]]
         cert = UapCertificate(1, 1.0, weights=weights, columns=columns, coeffs=coeffs)
         return CertifiedFunction(GroupFunction(n, consts @ shifted / n), cert)
     base = [
-        cert_conj(certify_dual(GroupFunction(n, conj_vals * shifted[m]),
-                               d - 1, node_budget, tol))
+        certify_dual(GroupFunction(n, f.values * np.conj(shifted[m])), d - 1, node_budget, tol)
         for m in range(n)
     ]
     dual = (np.array([b.func.values for b in base]) * shifted).mean(axis=0)

@@ -77,6 +77,14 @@ def test_byte_identical_reruns(tmp_path):
     assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
+def test_poly_degree_budget_below_ladder_is_rejected(capsys):
+    inp = str(DATA / "golden_input_n53.json")
+    args = ["structure", "decompose", "--input", inp, "--k", "3", "--delta", "0.3"]
+    rc, err = run_json(capsys, args + ["--budget-poly-degree", "3"])
+    assert rc == 1
+    assert err["error"]["type"] == "InvalidConfigurationError"
+
+
 def test_structure_decompose_golden_replay(tmp_path):
     golden = json.loads((DATA / "structure_n53.json").read_text())
     out = str(tmp_path / "replay.json")

@@ -140,6 +140,27 @@ def test_approximate_bernstein_single_phase():
     gl.verify_certificate(res.certified, 1e-9)
 
 
+def test_bernstein_degree_budget_binds():
+    """Degrees above the budget are skipped: this input needs degree 32."""
+    rng = np.random.default_rng(6)
+    n = 53
+    gen = phase_generator(rng, n, degree=1)
+    alg = gl.level_set_algebra([gen], 0.5, seed=2)
+    f = gl.GroupFunction(n, rng.uniform(0, 1, n).astype(complex))
+    fm = conditional_expectation(f, alg.partition)
+    full = gl.approximate_measurable(fm, alg, 0.05, method="bernstein", degree_budget=64)
+    assert full.method == "bernstein" and full.error <= 0.05
+    assert gl.approximate_measurable(fm, alg, 0.05, method="bernstein").error == full.error
+    assert gl.approximate_measurable(fm, alg, 0.05, method="bernstein",
+                                     degree_budget=32).error == full.error
+    for budget in (4, 16, 31):
+        with pytest.raises(ApproximationBudgetError):
+            gl.approximate_measurable(fm, alg, 0.05, method="bernstein", degree_budget=budget)
+    for budget in (3, 0, -8):
+        with pytest.raises(InvalidConfigurationError):
+            gl.approximate_measurable(fm, alg, 0.05, degree_budget=budget)
+
+
 def test_bernstein_infeasible_raises_budget_error():
     rng = np.random.default_rng(7)
     n = 17

@@ -20,6 +20,7 @@ from gowers_lab.partitions import Partition
 from gowers_lab.recurrence import (
     EXHAUSTIVE_LIMIT,
     EmpiricalC,
+    _lex_least,
     _mask_to_tuple,
     _subset_counts,
     count_ap_instances,
@@ -170,6 +171,26 @@ def test_zeta_transform_matches_sweep_reference(k):
     for n in list(range(1, 17)) + [19]:
         for delta in (0.3, 0.5, 0.7):
             assert gl.empirical_c(k, delta, n) == empirical_c_sweep(k, delta, n)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 22).flatmap(
+        lambda n: st.tuples(st.just(n), st.sets(st.integers(0, (1 << n) - 1), min_size=1))
+    )
+)
+def test_lex_least_matches_tuple_minimum(case):
+    n, masks = case
+    want = min(_mask_to_tuple(m, n) for m in masks)
+    assert _lex_least(np.array(sorted(masks), dtype=np.int64), n) == want
+
+
+def test_empirical_c_witness_at_k_le_2_is_the_least_initial_segment():
+    # at k <= 2 every set of the least size ties; n = 21 has 352,716 of them
+    for k in (1, 2):
+        res = gl.empirical_c(k, 0.5, 21)
+        assert res.witness == tuple(range(11))
+        assert res.count_min == (21 * 11 if k == 1 else 11 * 11)
 
 
 @lru_cache(maxsize=None)

@@ -1,8 +1,14 @@
 """Certificate construction, algebra, and verification."""
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gowers_lab as gl
+from gowers_lab.gowers import _shift_table
+from gowers_lab.serialize import canonical_dumps, certificate_to_json, function_to_json
 from gowers_lab.errors import (
     BoundednessError,
     CertificateInvalidError,
@@ -273,3 +279,373 @@ def test_structural_sharing_in_dual():
     assert len(seen) <= 11 * 11
     rep = gl.verify_certificate(cf, 1e-9)
     assert rep.total_nodes <= 2 * 11 * 11
+
+
+# ---------------------------------------------------------------------------
+# references: the construction through cert_conj and the node-by-node verifier
+
+
+def certify_dual_conj_ref(f, d):
+    """certify_dual as built before: each sub-dual on conj(f) . T^m f,
+    then conjugated node by node with cert_conj."""
+    n = f.n
+    if d == 1:
+        return gl.certify_dual(f, 1)
+    if d == 2:
+        return gl.certify_dual(f, 2)
+    idx = _shift_table(n)
+    shifted = f.values[idx]
+    conj_vals = np.conj(f.values)
+    columns = tuple(gl.GroupFunction(n, row) for row in shifted)
+    weights = np.full(n, 1.0 / n)
+    base = [gl.cert_conj(certify_dual_conj_ref(gl.GroupFunction(n, conj_vals * shifted[m]), d - 1))
+            for m in range(n)]
+    dual = (np.array([b.func.values for b in base]) * shifted).mean(axis=0)
+    rows = tuple(
+        tuple(gl.cert_shift(base[(h - i) % n], i) for h in range(n)) for i in range(n)
+    )
+    cert = gl.UapCertificate(d - 1, 1.0, weights=weights, columns=columns, coeffs=rows)
+    return gl.CertifiedFunction(gl.GroupFunction(n, dual), cert)
+
+
+def verify_loop(cf, tol=1e-9):
+    """The verifier as it was: every check on one node at a time."""
+    seen = {}
+    worst = 0.0
+    max_depth = 0
+    stack = [(cf, 0, ("root",))]
+    while stack:
+        node, depth, path = stack.pop()
+        max_depth = max(max_depth, depth)
+        if id(node) in seen:
+            continue
+        seen[id(node)] = None
+        cert = node.cert
+        atol = tol * max(1.0, cert.bound)
+        if cert.bound < 0:
+            raise CertificateInvalidError("negative bound", path)
+        if cert.order == 0:
+            if cert.value is None:
+                raise CertificateInvalidError("order-0 node without a constant", path)
+            if abs(cert.value) > cert.bound + atol:
+                raise CertificateInvalidError(
+                    f"constant modulus {abs(cert.value):.6g} exceeds bound {cert.bound:.6g}",
+                    path,
+                )
+            err = float(np.max(np.abs(node.func.values - cert.value)))
+            if err > atol:
+                raise CertificateInvalidError(
+                    f"order-0 function is not the certified constant (err {err:.3e})",
+                    path,
+                )
+            worst = max(worst, err)
+            continue
+        if cert.weights is None or cert.columns is None or cert.coeffs is None:
+            raise CertificateInvalidError("missing weights/columns/coefficients", path)
+        w = np.asarray(cert.weights, dtype=float)
+        if np.any(w < -tol):
+            raise CertificateInvalidError("negative weight", path)
+        if abs(float(w.sum()) - 1.0) > tol * max(1, len(w)):
+            raise CertificateInvalidError(f"weights sum to {w.sum()!r}, not 1", path)
+        for j, g in enumerate(cert.columns):
+            if g.n != node.n:
+                raise CertificateInvalidError("column on wrong group", path + (j,))
+        cols = np.stack([g.values for g in cert.columns])
+        unbounded = np.flatnonzero(~(np.max(np.abs(cols), axis=1) <= 1.0 + tol))
+        if unbounded.size:
+            j = int(unbounded[0])
+            raise CertificateInvalidError(f"column {j} unbounded", path + (j,))
+        if cert.order == 1:
+            coeff = np.asarray(cert.coeffs, dtype=np.complex128)
+            if coeff.shape != (node.n, len(cert.columns)):
+                raise CertificateInvalidError("coefficient matrix shape mismatch", path)
+            if np.max(np.abs(coeff)) > 1.0 + tol:
+                raise CertificateInvalidError("order-0 coefficient exceeds 1", path)
+            recon = cert.bound * (coeff * cert.weights[None, :]) @ cols
+        else:
+            if len(cert.coeffs) != node.n:
+                raise CertificateInvalidError("coefficient rows != N", path)
+            for i, row in enumerate(cert.coeffs):
+                if len(row) != len(cert.columns):
+                    raise CertificateInvalidError("coefficient row length mismatch", path + (i,))
+                for j, sub in enumerate(row):
+                    if not isinstance(sub, gl.CertifiedFunction):
+                        raise CertificateInvalidError(
+                            "coefficient of an order >= 2 node must be certified",
+                            path + (i, j),
+                        )
+                    if sub.cert.order != cert.order - 1:
+                        raise CertificateInvalidError(
+                            f"coefficient order {sub.cert.order}, expected {cert.order - 1}",
+                            path + (i, j),
+                        )
+                    if sub.cert.bound > 1.0 + tol:
+                        raise CertificateInvalidError(
+                            f"coefficient bound {sub.cert.bound:.6g} exceeds 1",
+                            path + (i, j),
+                        )
+                    stack.append((sub, depth + 1, path + (i, j)))
+            coeff = np.array([[c.func.values for c in row] for row in cert.coeffs])
+            recon = cert.bound * np.einsum("ihx,hx->ix", coeff, cert.weights[:, None] * cols)
+        shifted = node.func.values[_shift_table(node.n)]
+        err = float(np.max(np.abs(shifted - recon)))
+        if err > atol * node.n:
+            raise CertificateInvalidError(
+                f"reconstruction error {err:.3e} beyond tolerance", path
+            )
+        worst = max(worst, err)
+    return gl.VerificationReport(worst, max_depth, len(seen))
+
+
+def assert_same_report(cf, ref=None):
+    got = gl.verify_certificate(cf, 1e-9)
+    want = verify_loop(cf if ref is None else ref, 1e-9)
+    assert (got.total_nodes, got.depth) == (want.total_nodes, want.depth)
+    assert abs(got.max_reconstruction_error - want.max_reconstruction_error) <= 1e-15
+    return got
+
+
+def tree_digest(cf, memo):
+    """A Merkle digest of a certificate tree.  Each node hashes its order
+    and bound, the float64 bits of the arrays that certificate_to_json
+    writes (its repr of a float is one to one on them), and the digests of
+    its sub-certificates.  Equal digests mean equal canonical JSON, found
+    without expanding the shared subtrees, which at (13, 4) would run to
+    hundreds of megabytes."""
+    if id(cf) not in memo:
+        cert = cf.cert
+        h = hashlib.sha256(repr((cert.order, float(cert.bound))).encode())
+        h.update(cf.func.values.tobytes())
+        if cert.order == 0:
+            h.update(np.complex128(cert.value).tobytes())
+        else:
+            h.update(np.asarray(cert.weights, dtype=float).tobytes())
+            for g in cert.columns:
+                h.update(g.values.tobytes())
+            if cert.order == 1:
+                h.update(np.asarray(cert.coeffs, dtype=np.complex128).tobytes())
+            else:
+                for c in (c for row in cert.coeffs for c in row):
+                    h.update(tree_digest(c, memo).encode())
+        memo[id(cf)] = h.hexdigest()
+    return memo[id(cf)]
+
+
+@pytest.mark.parametrize("n,d", [(5, 2), (7, 3), (13, 3), (13, 4), (31, 3)])
+def test_direct_conjugated_duals_match_cert_conj_reference(n, d):
+    """certify_dual writes the same canonical JSON as the construction
+    through cert_conj: in full up to N^(d-1) = 169, and beyond that for the
+    first sub-certificate in full and for the whole tree by digest."""
+    f = bounded_function(np.random.default_rng(100 + n + d), n, scale=1.0)
+    cf, ref = gl.certify_dual(f, d), certify_dual_conj_ref(f, d)
+    whole = n ** (d - 1) <= 13 ** 2
+    a, b = (cf, ref) if whole else (cf.cert.coeffs[0][0], ref.cert.coeffs[0][0])
+    same = canonical_dumps(certificate_to_json(a)) == canonical_dumps(certificate_to_json(b))
+    assert same  # (no diff of megabyte strings on failure)
+    assert tree_digest(cf, {}) == tree_digest(ref, {})
+    assert_same_report(cf, ref)
+    # the N shifts of each sub-certificate keep one columns tuple and weights array
+    if d >= 3:
+        subs = [c for row in cf.cert.coeffs for c in row]
+        assert len({id(c.cert.columns) for c in subs}) == n
+        assert len({id(c.cert.weights) for c in subs}) == n
+
+
+def _replace(cf, path, make):
+    """cf with the node at path ("root", i, j, ...) replaced by make(node);
+    every other node is kept, so the sharing elsewhere stays."""
+    if len(path) == 1:
+        return make(cf)
+    i, j = path[1], path[2]
+    rows = [list(r) for r in cf.cert.coeffs]
+    rows[i][j] = _replace(rows[i][j], ("root",) + tuple(path[3:]), make)
+    cert = cf.cert
+    new = gl.UapCertificate(cert.order, cert.bound, weights=cert.weights, columns=cert.columns,
+                            coeffs=tuple(tuple(r) for r in rows))
+    return gl.CertifiedFunction(cf.func, new)
+
+
+def _recert(node, **fields):
+    cert = node.cert
+    kw = dict(order=cert.order, bound=cert.bound, value=cert.value, weights=cert.weights,
+              columns=cert.columns, coeffs=cert.coeffs)
+    kw.update(fields)
+    return gl.CertifiedFunction(node.func, gl.UapCertificate(**kw))
+
+
+def _with_column(node, j, column):
+    cols = list(node.cert.columns)
+    cols[j] = column
+    return _recert(node, columns=tuple(cols))
+
+
+def _with_coeff_rows(node, edit):
+    rows = [list(r) for r in node.cert.coeffs]
+    edit(rows)
+    return _recert(node, coeffs=tuple(tuple(r) for r in rows))
+
+
+def _scaled_coeff(node, i, j, factor):
+    coeffs = np.array(node.cert.coeffs, copy=True)
+    coeffs[i, j] *= factor
+    return _recert(node, coeffs=coeffs)
+
+
+def _del_row(rows):
+    del rows[1]
+
+
+def _short_row(rows):
+    rows[2] = rows[2][:-1]
+
+
+def _set_slot(value):
+    def edit(rows):
+        rows[1][2] = value(rows[1][2])
+    return edit
+
+
+# (name, order of the member, corruption of the member, message pattern)
+MEMBER_CORRUPTIONS = [
+    ("negative bound", 1, lambda x: _recert(x, bound=-0.5), "negative bound"),
+    ("missing coeffs", 1, lambda x: _recert(x, coeffs=None), "missing"),
+    ("missing weights", 1, lambda x: _recert(x, weights=None), "missing"),
+    ("negative weight", 1, lambda x: _recert(x, weights=np.r_[-0.25, 1.25, np.zeros(5)]),
+     "negative weight"),
+    ("weight sum", 1, lambda x: _recert(x, weights=0.5 * x.cert.weights), "weights sum"),
+    ("wrong group", 1, lambda x: _with_column(x, 3, gl.GroupFunction.constant(5, 0.5)),
+     "column on wrong group"),
+    ("unbounded column", 1, lambda x: _with_column(x, 4, gl.GroupFunction.constant(7, 1.01)),
+     "column 4 unbounded"),
+    ("NaN column", 1, lambda x: _with_column(x, 5, gl.GroupFunction.constant(7, np.nan)),
+     "column 5 unbounded"),
+    ("shape", 1, lambda x: _recert(x, coeffs=np.asarray(x.cert.coeffs)[:, :-1]), "shape"),
+    ("coefficient modulus", 1, lambda x: _scaled_coeff(x, 2, 3, 50.0), "exceeds 1"),
+    ("reconstruction", 1, lambda x: _scaled_coeff(x, 2, 3, 0.5), "reconstruction error"),
+    ("rows", 2, lambda x: _with_coeff_rows(x, _del_row), "rows != N"),
+    ("row length", 2, lambda x: _with_coeff_rows(x, _short_row), "row length"),
+    ("uncertified", 2, lambda x: _with_coeff_rows(x, _set_slot(lambda c: 0.5)),
+     "must be certified"),
+    ("sub order", 2, lambda x: _with_coeff_rows(x, _set_slot(lambda c: gl.cert_promote(c, 2))),
+     "coefficient order 2, expected 1"),
+    ("sub bound", 2, lambda x: _with_coeff_rows(x, _set_slot(lambda c: gl.raise_bound(c, 2.0))),
+     "coefficient bound 2 exceeds 1"),
+    ("reconstruction", 2,
+     lambda x: _with_coeff_rows(x, _set_slot(lambda c: gl.cert_shift(c, 1))), "reconstruction"),
+]
+
+
+def _same_failure(bad):
+    with pytest.raises(CertificateInvalidError) as want:
+        verify_loop(bad, 1e-9)
+    with pytest.raises(CertificateInvalidError) as got:
+        gl.verify_certificate(bad, 1e-9)
+    assert str(got.value) == str(want.value)
+    assert got.value.path == want.value.path
+    return got.value
+
+
+@pytest.mark.parametrize("case", MEMBER_CORRUPTIONS,
+                         ids=[f"{c[0]}-order{c[1]}" for c in MEMBER_CORRUPTIONS])
+def test_verify_corruption_in_one_member_of_a_column_set(case):
+    """Break one check in one member of a shared column set, at (root, i, j)
+    with i != 0; the verifier names the same failure and path as the loop."""
+    _, order, corrupt, pattern = case
+    f = bounded_function(np.random.default_rng(16), 7, scale=1.0)
+    cf = gl.certify_dual(f, order + 2)
+    path = ("root", 3, 5)
+    member = cf.cert.coeffs[3][5]
+    siblings = [c for row in cf.cert.coeffs for c in row if c.cert.columns is member.cert.columns]
+    assert len(siblings) == 7  # the member shares its column set with its N - 1 shifts
+    err = _same_failure(_replace(cf, path, corrupt))
+    assert pattern in str(err)
+    assert err.path[:3] == path
+
+
+def test_verify_corruption_shared_by_a_whole_column_set():
+    """Corrupting the shared weights or a shared column in place breaks every
+    member of the set; the failure is named at the member the walk meets first."""
+    f = bounded_function(np.random.default_rng(17), 7, scale=1.0)
+    for order in (1, 2):
+        for name in ("weights", "column", "nan"):
+            cf = gl.certify_dual(f, order + 2)
+            member = cf.cert.coeffs[3][5]
+            if name == "weights":
+                member.cert.weights[1] += 0.5
+            else:
+                member.cert.columns[2].values[4] = 2.0 if name == "column" else np.nan
+            err = _same_failure(cf)
+            assert err.path[0] == "root" and len(err.path) >= 3
+
+
+def test_verify_corruption_at_the_root():
+    rng = np.random.default_rng(18)
+    const = gl.certify_constant(7, 0.3 + 0.4j)
+    for bad in (
+        _recert(const, value=None),
+        _recert(const, bound=0.1),
+        gl.CertifiedFunction(gl.GroupFunction.constant(7, 0.2), const.cert),
+        _recert(const, bound=-1.0),
+    ):
+        assert _same_failure(bad).path == ("root",)
+    cf = gl.certify_dual(bounded_function(rng, 7), 3)
+    bad = gl.CertifiedFunction(gl.shift(cf.func, 1), cf.cert)
+    assert "reconstruction" in str(_same_failure(bad))
+    # the root fails before a member whose check runs earlier in the walk
+    worse = _replace(bad, ("root", 2, 4), lambda x: _recert(x, coeffs=None))
+    assert _same_failure(worse).path == ("root",)
+    # a coefficient corrupted at root level fails there before any member is visited
+    moved = _set_slot(lambda c: gl.CertifiedFunction(gl.shift(c.func, 1), c.cert))
+    bad = _with_coeff_rows(cf, moved)
+    assert _same_failure(bad).path == ("root",)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([2, 3, 5, 7, 11, 13]),
+    d=st.integers(1, 4),
+    data=st.data(),
+)
+def test_dual_of_conjugate_is_conjugate_of_dual(n, d, data):
+    parts = st.lists(st.floats(-0.7, 0.7), min_size=n, max_size=n)
+    f = gl.GroupFunction(n, np.array(data.draw(parts)) + 1j * np.array(data.draw(parts)))
+    got = gl.dual_function(f.conj(), d).values
+    assert np.max(np.abs(got - np.conj(gl.dual_function(f, d).values))) <= 1e-12
+
+
+OPS = st.one_of(
+    st.tuples(st.just("shift"), st.integers(0, 12)),
+    st.tuples(st.just("conj"), st.just(0)),
+    st.tuples(st.just("multiply"), st.integers(0, 2 ** 31)),
+    st.tuples(st.just("promote"), st.just(0)),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.sampled_from([5, 7]),
+    d=st.sampled_from([2, 3]),
+    seed=st.integers(0, 2 ** 31),
+    ops=st.lists(OPS, max_size=4),
+)
+def test_closure_chains_on_certified_duals_verify(n, d, seed, ops):
+    """Random chains of shift, conj, multiply and promote on a certified
+    dual verify, the loop verifier agrees, and the function is the one the
+    chain says."""
+    f = bounded_function(np.random.default_rng(seed), n, scale=1.0)
+    cf = gl.certify_dual(f, d)
+    want = cf.func.values
+    multiplied = False
+    for op, arg in ops:
+        if op == "shift":
+            cf, want = gl.cert_shift(cf, arg), np.roll(want, -arg)
+        elif op == "conj":
+            cf, want = gl.cert_conj(cf), np.conj(want)
+        elif op == "promote" and cf.order < 3:
+            cf = gl.cert_promote(cf, cf.order + 1)
+        elif op == "multiply" and cf.order <= 2 and not multiplied:
+            g = bounded_function(np.random.default_rng(arg), n, scale=1.0)
+            other = gl.cert_promote(gl.certify_dual(g, 2), cf.order)
+            cf, want, multiplied = gl.cert_multiply(cf, other), want * other.func.values, True
+    assert np.allclose(cf.func.values, want, atol=1e-12)
+    assert_same_report(cf)
