@@ -24,7 +24,7 @@ from .config import (
     VERSION,
     RunConfig,
 )
-from .cyclic import GroupFunction, linf_norm
+from .cyclic import GroupFunction
 from .errors import GowersLabError, InvalidConfigurationError, ModeError
 from .gowers import (
     dual_function,
@@ -32,7 +32,7 @@ from .gowers import (
     gowers_norm,
     von_neumann_check,
 )
-from .levelset import _boundary_mass, BOUNDARY_SIGMA, level_set_algebra
+from .levelset import _boundary_mass, BOUNDARY_SIGMA, level_set_algebra, oscillation
 from .partitions import conditional_expectation, energy, join
 from .recurrence import (
     empirical_c,
@@ -203,10 +203,6 @@ def _run_levelset(args, cfg):
     certs = [_certify_input(_load(p)) for p in args.g]
     eps = args.eps if len(args.eps) > 1 else args.eps[0]
     algebra = level_set_algebra(certs, eps, seed=cfg.seed)
-    linf_err = 0.0
-    for gen in algebra.generators:
-        g = gen.certified.func
-        linf_err = max(linf_err, linf_norm(g - conditional_expectation(g, algebra.partition)))
     alpha = algebra.generators[0].alpha
     mass = _boundary_mass(
         [gen.certified.func.values for gen in algebra.generators],
@@ -218,7 +214,7 @@ def _run_levelset(args, cfg):
         "partition": partition_to_json(algebra.partition),
         "diagnostics": {
             "atoms": algebra.partition.atom_count,
-            "linf_error": linf_err,
+            "linf_error": oscillation(algebra),
             "boundary_mass": int(mass),
             "alpha": alpha,
             "complexity": algebra.complexity,
@@ -380,7 +376,10 @@ def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--out", default=None, help="write output here instead of stdout")
     p.add_argument("--budget-driver-steps", type=int, default=DEFAULT_DRIVER_BUDGET)
     p.add_argument("--budget-cert-nodes", type=int, default=DEFAULT_CERT_NODE_BUDGET)
-    p.add_argument("--budget-poly-degree", type=int, default=DEFAULT_POLY_DEGREE)
+    p.add_argument("--budget-poly-degree", type=int, default=DEFAULT_POLY_DEGREE,
+                   help="bounds only the Bernstein route of level-set approximation; "
+                   "structure decompose never takes it, so there the value is only "
+                   "validated (below 4 is an error)")
     p.add_argument("--budget-vdw-nodes", type=int, default=DEFAULT_VDW_NODES)
     p.add_argument("--budget-digit-limit", type=int, default=DEFAULT_DIGIT_LIMIT)
 

@@ -314,7 +314,12 @@ def approximate_measurable(
     exhausted; 'spectral' expands f in characters, which is exact with
     bound the l1 mass of the spectrum; 'auto' tries the first
     when the algebra has a single single-phase generator and falls back
-    to the second.
+    to the second.  A generator is single-phase when its phase_terms
+    hold one term: only certify_phase_sum and certify_quasiperiodic set
+    them, and only raise_bound and cert_promote keep them.  A generator
+    from any other operation (a dual certificate, or a shifted, scaled,
+    summed or conjugated phase sum) takes the spectral route under
+    'auto', and 'bernstein' raises ApproximationBudgetError on it.
     """
     if method not in ("auto", "bernstein", "spectral"):
         raise ModeError(f"unknown method {method!r}")

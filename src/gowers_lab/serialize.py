@@ -76,16 +76,6 @@ def phase_sum_from_json(obj: dict) -> PhaseSum:
     return quasiperiodic(n, terms)
 
 
-def phase_sum_to_json(ps: PhaseSum) -> dict:
-    return {
-        "n": ps.n,
-        "terms": [
-            {"c": [float(np.real(c)), float(np.imag(c))], "poly": list(p)}
-            for c, p in ps.terms
-        ],
-    }
-
-
 # ---------------------------------------------------------------------------
 # partitions and colourings
 

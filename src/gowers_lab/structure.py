@@ -18,7 +18,7 @@ the threshold.  A step budget guards the whole loop anyway.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, replace
 from math import ceil
 
 import numpy as np
@@ -98,7 +98,6 @@ def structure_dichotomy(
     delta: float,
     threshold: float | None = None,
     seed: int = 0,
-    method: str = "auto",
     node_budget: int = DEFAULT_CERT_NODE_BUDGET,
     tol: float = DEFAULT_TOL,
     degree_budget: int = DEFAULT_POLY_DEGREE,
@@ -121,8 +120,7 @@ def structure_dichotomy(
             f"energy gap {e_ref - e_base:.3e} already above tau^2 = {tau * tau:.3e}"
         )
     f_perp = conditional_expectation(f, refined.partition)
-    approx = approximate_measurable(f_perp, refined, tau, method=method, tol=tol,
-                                    degree_budget=degree_budget)
+    approx = approximate_measurable(f_perp, refined, tau, tol=tol, degree_budget=degree_budget)
     if threshold is None:
         threshold = default_threshold(k, delta, approx.certified.cert.bound)
     f_u = f - f_perp
@@ -142,13 +140,12 @@ def structure_dichotomy(
     witness = certify_dual(f_u, k - 1, node_budget, tol)
     rho = u ** (2 ** (k - 1))
     eps = rho / 16.0
-    proj_ref = conditional_expectation(f, refined.partition)
     for halving in range(INCREMENT_HALVINGS + 1):
         refined2 = join_compact(
             refined, level_set_algebra([witness], eps, seed=seed)
         )
         proj2 = conditional_expectation(f, refined2.partition)
-        gain_l2 = l2_norm(proj2 - proj_ref)
+        gain_l2 = l2_norm(proj2 - f_perp)
         if gain_l2 >= rho / 4.0:
             return EnergyIncrement(
                 algebra=refined2,
@@ -177,15 +174,7 @@ class TraceEntry:
     gowers_fU: float
 
     def as_row(self):
-        return (
-            self.step,
-            self.which_loop,
-            self.energy_base,
-            self.energy_refined,
-            self.complexity_base,
-            self.complexity_refined,
-            self.gowers_fU,
-        )
+        return astuple(self)
 
 TRACE_COLUMNS = (
     "step",
@@ -204,7 +193,6 @@ def decompose(
     delta: float,
     seed: int = 0,
     threshold: float | None = None,
-    method: str = "auto",
     budget: int = DEFAULT_DRIVER_BUDGET,
     node_budget: int = DEFAULT_CERT_NODE_BUDGET,
     tol: float = DEFAULT_TOL,
@@ -225,7 +213,7 @@ def decompose(
     for step in range(1, budget + 1):
         result = structure_dichotomy(
             f, k, base, refined, delta,
-            threshold=threshold, seed=seed, method=method,
+            threshold=threshold, seed=seed,
             node_budget=node_budget, tol=tol, degree_budget=degree_budget,
         )
         e_base = energy([f], base.partition)
@@ -234,18 +222,7 @@ def decompose(
                 step, "done", e_base, energy([f], refined.partition),
                 base.complexity, refined.complexity, result.norm_fU,
             ))
-            return Decomposition(
-                f_U=result.f_U,
-                f_Uperp=result.f_Uperp,
-                certified=result.certified,
-                algebra=result.algebra,
-                k=k,
-                delta=delta,
-                threshold=result.threshold,
-                norm_fU=result.norm_fU,
-                approximation=result.approximation,
-                trace=tuple(trace),
-            )
+            return replace(result, trace=tuple(trace))
         nxt = result.algebra
         e_next = energy([f], nxt.partition)
         if e_next - e_base <= tau * tau:

@@ -20,6 +20,13 @@ allow.  certify_dual keeps that sharing: the N shifts of a sub-certificate
 coefficient rows.  verify_certificate checks each row once, the weights
 and columns once per column set, and the reconstructions of a column set
 in one stacked product.
+
+Phase terms: certify_phase_sum and certify_quasiperiodic also record F
+exactly as the terms ((gamma_m, P_m), ...) of sum_m gamma_m e(P_m(x)/n),
+which the Bernstein route of levelset.approximate_measurable reads off a
+single-phase generator.  raise_bound and cert_promote leave F unchanged
+and keep the terms; every other operation, and certify_constant, leaves
+them None.
 """
 from __future__ import annotations
 
@@ -68,7 +75,9 @@ class CertifiedFunction:
 
     func: GroupFunction
     cert: UapCertificate
-    phase_terms: tuple | None = None  # ((gamma, poly), ...) when exact
+    # ((gamma, poly), ...): set by the phase-sum constructors, kept by
+    # raise_bound and cert_promote, None after any other operation
+    phase_terms: tuple | None = None
 
     @property
     def n(self) -> int:
@@ -94,8 +103,7 @@ def certify_constant(n: int, value: complex, bound: float | None = None) -> Cert
     if abs(value) > bound + DEFAULT_TOL:
         raise CertificateInvalidError(f"|{value}| exceeds declared bound {bound}")
     cert = UapCertificate(order=0, bound=float(bound), value=value)
-    return CertifiedFunction(GroupFunction.constant(n, value), cert,
-                             phase_terms=((value, (0,)),) if value else ())
+    return CertifiedFunction(GroupFunction.constant(n, value), cert)
 
 
 def cert_zero(n: int, order: int) -> CertifiedFunction:
@@ -134,7 +142,8 @@ def verify_certificate(
     the earliest node in walk order, and within a node the first of
     bound, weights, columns, coefficients, reconstruction.  The returned
     report carries the worst reconstruction error seen, the tree depth,
-    and the number of distinct nodes.
+    and the number of distinct nodes.  Every comparison is written so
+    that a NaN bound, constant, weight, coefficient or value fails it.
     """
     nodes, paths, depth, worst, fails = _walk(cf, tol)
     done = fails[0][0] if fails else len(nodes)  # nodes before it passed the walk
@@ -178,17 +187,17 @@ def _walk(cf: CertifiedFunction, tol: float):
         cert = node.cert
         atol = tol * max(1.0, cert.bound)
         fail = None
-        if cert.bound < 0:
+        if not cert.bound >= 0:
             fail = _PRE, "negative bound", ()
         elif cert.order == 0:
             if cert.value is None:
                 fail = _PRE, "order-0 node without a constant", ()
-            elif abs(cert.value) > cert.bound + atol:
+            elif not abs(cert.value) <= cert.bound + atol:
                 fail = (_PRE, f"constant modulus {abs(cert.value):.6g} exceeds bound "
                         f"{cert.bound:.6g}", ())
             else:
                 err = float(np.max(np.abs(node.func.values - cert.value)))
-                if err > atol:
+                if not err <= atol:
                     fail = (_PRE, "order-0 function is not the certified constant "
                             f"(err {err:.3e})", ())
                 worst = max(worst, err)
@@ -228,7 +237,7 @@ def _row_failure(row, order: int, h: int, tol: float):
             return "coefficient of an order >= 2 node must be certified", (j,)
         if sub.cert.order != order - 1:
             return f"coefficient order {sub.cert.order}, expected {order - 1}", (j,)
-        if sub.cert.bound > 1.0 + tol:
+        if not sub.cert.bound <= 1.0 + tol:
             return f"coefficient bound {sub.cert.bound:.6g} exceeds 1", (j,)
     return None
 
@@ -245,7 +254,7 @@ def _check_set(nodes: list, members: list, tol: float, done: int, fails: list) -
     fail = None
     if np.any(w < -tol):
         fail = "negative weight", ()
-    elif abs(float(w.sum()) - 1.0) > tol * max(1, len(w)):
+    elif not abs(float(w.sum()) - 1.0) <= tol * max(1, len(w)):
         fail = f"weights sum to {w.sum()!r}, not 1", ()
     else:
         wrong = [j for j, g in enumerate(first.cert.columns) if g.n != n]
@@ -273,7 +282,7 @@ def _check_set(nodes: list, members: list, tol: float, done: int, fails: list) -
         hi = lo + step
         if order == 1:
             coeff = np.array([c.coeffs for c in certs[lo:hi]], dtype=np.complex128)  # (B, N, H)
-            over = np.max(np.abs(coeff), axis=(1, 2)) > 1.0 + tol
+            over = ~(np.max(np.abs(coeff), axis=(1, 2)) <= 1.0 + tol)
             recon = (bounds[lo:hi] * (coeff * w)).reshape(-1, h) @ cols
         else:
             coeff = np.array([[[s.func.values for s in row] for row in c.coeffs]
@@ -281,7 +290,7 @@ def _check_set(nodes: list, members: list, tol: float, done: int, fails: list) -
             over = np.zeros(coeff.shape[0], dtype=bool)
             recon = bounds[lo:hi] * np.einsum("bihx,hx->bix", coeff, w[:, None] * cols)
         err = np.max(np.abs(funcs[lo:hi, idx] - recon.reshape(-1, n, n)), axis=(1, 2))
-        for b in np.flatnonzero(over | (err > atol[lo:hi])):
+        for b in np.flatnonzero(over | ~(err <= atol[lo:hi])):
             k = members[lo + b]
             fails.append((k, _COEFF, "order-0 coefficient exceeds 1", ()) if over[b] else
                          (k, _RECON, f"reconstruction error {err[b]:.3e} beyond tolerance", ()))
@@ -298,10 +307,15 @@ def _phase_of(sigma: complex) -> complex:
     return sigma / a if a > 0 else 1.0 + 0.0j
 
 
-def _scale_coeff(c, phase: complex):
-    if isinstance(c, CertifiedFunction):
-        return cert_scale(c, phase)
-    return c * phase
+def _rescaled(cert: UapCertificate, bound: float, factor) -> UapCertificate:
+    """The node with bound `bound` and every coefficient times `factor`
+    (a phase, or a ratio of bounds at most 1, so coefficient bounds hold)."""
+    if cert.order == 1:
+        coeffs = np.asarray(cert.coeffs) * factor
+    else:
+        coeffs = tuple(tuple(cert_scale(c, factor) for c in row) for row in cert.coeffs)
+    return UapCertificate(cert.order, bound, weights=cert.weights,
+                          columns=cert.columns, coeffs=coeffs)
 
 
 def cert_scale(cf: CertifiedFunction, sigma: complex) -> CertifiedFunction:
@@ -312,29 +326,15 @@ def cert_scale(cf: CertifiedFunction, sigma: complex) -> CertifiedFunction:
     """
     sigma = complex(sigma)
     cert = cf.cert
-    func = GroupFunction(cf.n, cf.func.values * sigma)
-    terms = _scale_terms(cf.phase_terms, sigma)
     if sigma == 0:
         return cert_zero(cf.n, cert.order)
+    func = GroupFunction(cf.n, cf.func.values * sigma)
+    bound = cert.bound * abs(sigma)
     if cert.order == 0:
-        new = UapCertificate(0, cert.bound * abs(sigma), value=cert.value * sigma)
-        return CertifiedFunction(func, new, terms)
-    phase = _phase_of(sigma)
-    if cert.order == 1:
-        coeffs = np.asarray(cert.coeffs) * phase
+        new = UapCertificate(0, bound, value=cert.value * sigma)
     else:
-        coeffs = tuple(tuple(_scale_coeff(c, phase) for c in row) for row in cert.coeffs)
-    new = UapCertificate(
-        cert.order, cert.bound * abs(sigma), weights=cert.weights,
-        columns=cert.columns, coeffs=coeffs,
-    )
-    return CertifiedFunction(func, new, terms)
-
-
-def _scale_terms(terms, sigma):
-    if terms is None:
-        return None
-    return tuple((g * sigma, p) for g, p in terms)
+        new = _rescaled(cert, bound, _phase_of(sigma))
+    return CertifiedFunction(func, new)
 
 
 def raise_bound(cf: CertifiedFunction, new_bound: float) -> CertifiedFunction:
@@ -346,18 +346,8 @@ def raise_bound(cf: CertifiedFunction, new_bound: float) -> CertifiedFunction:
         return cf
     if cert.order == 0:
         new = UapCertificate(0, float(new_bound), value=cert.value)
-        return CertifiedFunction(cf.func, new, cf.phase_terms)
-    s = cert.bound / new_bound  # 0 when the old bound was 0: zero function
-    if cert.order == 1:
-        coeffs = np.asarray(cert.coeffs) * s
-    else:
-        coeffs = tuple(
-            tuple(cert_scale(c, s) for c in row) for row in cert.coeffs
-        )
-    new = UapCertificate(
-        cert.order, float(new_bound), weights=cert.weights,
-        columns=cert.columns, coeffs=coeffs,
-    )
+    else:  # the ratio is 0 when the old bound was 0: zero function
+        new = _rescaled(cert, float(new_bound), cert.bound / new_bound)
     return CertifiedFunction(cf.func, new, cf.phase_terms)
 
 
@@ -370,6 +360,18 @@ def _require_same(a: CertifiedFunction, b: CertifiedFunction):
         )
 
 
+def _concat(a: UapCertificate, b: UapCertificate, wa: float, wb: float,
+            bound: float) -> UapCertificate:
+    """One node over the columns of a then b, their weights mixed wa : wb."""
+    weights = np.concatenate([wa * a.weights, wb * b.weights])
+    if a.order == 1:
+        coeffs = np.hstack([np.asarray(a.coeffs), np.asarray(b.coeffs)])
+    else:
+        coeffs = tuple(ra + rb for ra, rb in zip(a.coeffs, b.coeffs))
+    return UapCertificate(a.order, bound, weights=weights,
+                          columns=a.columns + b.columns, coeffs=coeffs)
+
+
 def cert_add(a: CertifiedFunction, b: CertifiedFunction, theta: float) -> CertifiedFunction:
     """Convex combination (1-theta) a + theta b, bound max(M_a, M_b)."""
     _require_same(a, b)
@@ -377,53 +379,34 @@ def cert_add(a: CertifiedFunction, b: CertifiedFunction, theta: float) -> Certif
         raise CertificateInvalidError(f"theta = {theta} outside [0, 1]")
     m = max(a.bound, b.bound)
     func = GroupFunction(a.n, (1 - theta) * a.func.values + theta * b.func.values)
-    terms = _merge_terms(_scale_terms(a.phase_terms, 1 - theta),
-                         _scale_terms(b.phase_terms, theta), a.n)
     if a.cert.order == 0:
         value = (1 - theta) * a.cert.value + theta * b.cert.value
-        return CertifiedFunction(func, UapCertificate(0, m, value=value), terms)
-    a2, b2 = raise_bound(a, m), raise_bound(b, m)
-    weights = np.concatenate([(1 - theta) * a2.cert.weights, theta * b2.cert.weights])
-    columns = a2.cert.columns + b2.cert.columns
-    if a.cert.order == 1:
-        coeffs = np.hstack([np.asarray(a2.cert.coeffs), np.asarray(b2.cert.coeffs)])
-    else:
-        coeffs = tuple(ra + rb for ra, rb in zip(a2.cert.coeffs, b2.cert.coeffs))
-    cert = UapCertificate(a.cert.order, m, weights=weights, columns=columns, coeffs=coeffs)
-    return CertifiedFunction(func, cert, terms)
+        return CertifiedFunction(func, UapCertificate(0, m, value=value))
+    cert = _concat(raise_bound(a, m).cert, raise_bound(b, m).cert, 1 - theta, theta, m)
+    return CertifiedFunction(func, cert)
 
 
 def cert_sum(a: CertifiedFunction, b: CertifiedFunction) -> CertifiedFunction:
     """General sum a + b with bound M_a + M_b (mixing theta = M_b / (M_a + M_b))."""
     _require_same(a, b)
     total = a.bound + b.bound
-    func = GroupFunction(a.n, a.func.values + b.func.values)
-    terms = _merge_terms(a.phase_terms, b.phase_terms, a.n)
     if total == 0:
         return cert_zero(a.n, a.cert.order)
+    func = GroupFunction(a.n, a.func.values + b.func.values)
     if a.cert.order == 0:
         value = a.cert.value + b.cert.value
-        return CertifiedFunction(func, UapCertificate(0, total, value=value), terms)
-    weights = np.concatenate(
-        [(a.bound / total) * a.cert.weights, (b.bound / total) * b.cert.weights]
-    )
-    columns = a.cert.columns + b.cert.columns
-    if a.cert.order == 1:
-        coeffs = np.hstack([np.asarray(a.cert.coeffs), np.asarray(b.cert.coeffs)])
-    else:
-        coeffs = tuple(ra + rb for ra, rb in zip(a.cert.coeffs, b.cert.coeffs))
-    cert = UapCertificate(a.cert.order, total, weights=weights, columns=columns, coeffs=coeffs)
-    return CertifiedFunction(func, cert, terms)
+        return CertifiedFunction(func, UapCertificate(0, total, value=value))
+    cert = _concat(a.cert, b.cert, a.bound / total, b.bound / total, total)
+    return CertifiedFunction(func, cert)
 
 
 def cert_multiply(a: CertifiedFunction, b: CertifiedFunction) -> CertifiedFunction:
     """Product certificate over the product index set; bounds multiply."""
     _require_same(a, b)
     func = GroupFunction(a.n, a.func.values * b.func.values)
-    terms = _product_terms(a.phase_terms, b.phase_terms, a.n)
     if a.cert.order == 0:
         cert = UapCertificate(0, a.bound * b.bound, value=a.cert.value * b.cert.value)
-        return CertifiedFunction(func, cert, terms)
+        return CertifiedFunction(func, cert)
     weights = np.outer(a.cert.weights, b.cert.weights).ravel()
     columns = tuple(
         GroupFunction(a.n, ga.values * gb.values)
@@ -441,7 +424,7 @@ def cert_multiply(a: CertifiedFunction, b: CertifiedFunction) -> CertifiedFuncti
     cert = UapCertificate(
         a.cert.order, a.bound * b.bound, weights=weights, columns=columns, coeffs=coeffs
     )
-    return CertifiedFunction(func, cert, terms)
+    return CertifiedFunction(func, cert)
 
 
 def cert_shift(cf: CertifiedFunction, s: int) -> CertifiedFunction:
@@ -449,13 +432,8 @@ def cert_shift(cf: CertifiedFunction, s: int) -> CertifiedFunction:
     cert = cf.cert
     s = int(s) % cf.n
     func = shift(cf.func, s)
-    terms = None
-    if cf.phase_terms is not None:
-        terms = tuple(
-            (g, _poly_translate(p, s, cf.n)) for g, p in cf.phase_terms
-        )
     if cert.order == 0:
-        return CertifiedFunction(func, cert, terms)
+        return CertifiedFunction(func, cert)
     if cert.order == 1:
         coeffs = np.asarray(cert.coeffs)
         coeffs = np.concatenate((coeffs[s:], coeffs[:s]))  # np.roll by -s, without its overhead
@@ -463,34 +441,16 @@ def cert_shift(cf: CertifiedFunction, s: int) -> CertifiedFunction:
         coeffs = tuple(cert.coeffs[(i + s) % cf.n] for i in range(cf.n))
     new = UapCertificate(cert.order, cert.bound, weights=cert.weights,
                          columns=cert.columns, coeffs=coeffs)
-    return CertifiedFunction(func, new, terms)
-
-
-def _poly_translate(poly, s: int, n: int):
-    return _poly_add(poly_reduce(poly, n), poly_shift_difference(poly, s, n), n)
-
-
-def _poly_add(a, b, n: int):
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = (out[i] + c) % n
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % n
-    return poly_reduce(out, n)
+    return CertifiedFunction(func, new)
 
 
 def cert_conj(cf: CertifiedFunction) -> CertifiedFunction:
     """Certificate for conj(F): conjugate columns, coefficients, constant."""
     cert = cf.cert
     func = cf.func.conj()
-    terms = None
-    if cf.phase_terms is not None:
-        terms = tuple(
-            (np.conj(g), _poly_negate(p, cf.n)) for g, p in cf.phase_terms
-        )
     if cert.order == 0:
         new = UapCertificate(0, cert.bound, value=np.conj(cert.value))
-        return CertifiedFunction(func, new, terms)
+        return CertifiedFunction(func, new)
     columns = tuple(g.conj() for g in cert.columns)
     if cert.order == 1:
         coeffs = np.conj(np.asarray(cert.coeffs))
@@ -498,11 +458,7 @@ def cert_conj(cf: CertifiedFunction) -> CertifiedFunction:
         coeffs = tuple(tuple(cert_conj(c) for c in row) for row in cert.coeffs)
     new = UapCertificate(cert.order, cert.bound, weights=cert.weights,
                          columns=columns, coeffs=coeffs)
-    return CertifiedFunction(func, new, terms)
-
-
-def _poly_negate(poly, n: int):
-    return poly_reduce([(-c) % n for c in poly], n)
+    return CertifiedFunction(func, new)
 
 
 def cert_promote(cf: CertifiedFunction, order: int) -> CertifiedFunction:
@@ -524,58 +480,23 @@ def cert_promote(cf: CertifiedFunction, order: int) -> CertifiedFunction:
 def _promote_one(cf: CertifiedFunction) -> CertifiedFunction:
     n = cf.n
     cert = cf.cert
-    if cert.bound == 0:
-        zero = certify_constant(n, 0.0, bound=0.0)
-        base = CertifiedFunction(cf.func, zero.cert, cf.phase_terms)
-        # bound 0 forces F = 0; reuse the zero constant node shape
-        target = cert.order + 1
-        column = (GroupFunction.constant(n, 1.0),)
-        if target == 1:
-            coeffs = np.zeros((n, 1), dtype=np.complex128)
-        else:
-            sub = cert_zero(n, target - 1)
-            coeffs = tuple((sub,) for _ in range(n))
-        new = UapCertificate(target, 0.0, weights=np.array([1.0]), columns=column, coeffs=coeffs)
-        return CertifiedFunction(cf.func, new, cf.phase_terms)
-    target = cert.order + 1
-    column = (GroupFunction.constant(n, 1.0),)
-    if target == 1:
-        coeffs = np.full((n, 1), cert.value / cert.bound, dtype=np.complex128)
+    if cert.order == 0:
+        coeffs = np.full((n, 1), cert.value / cert.bound if cert.bound else 0.0,
+                         dtype=np.complex128)
+    elif cert.bound == 0:  # bound 0 forces F = 0
+        sub = cert_zero(n, cert.order)
+        coeffs = tuple((sub,) for _ in range(n))
     else:
         coeffs = tuple(
             (cert_scale(cert_shift(cf, i), 1.0 / cert.bound),) for i in range(n)
         )
-    new = UapCertificate(
-        target, cert.bound, weights=np.array([1.0]), columns=column, coeffs=coeffs
-    )
+    new = UapCertificate(cert.order + 1, cert.bound, weights=np.array([1.0]),
+                         columns=(GroupFunction.constant(n, 1.0),), coeffs=coeffs)
     return CertifiedFunction(cf.func, new, cf.phase_terms)
 
 
 # ---------------------------------------------------------------------------
 # phase-sum certificates
-
-
-def _merge_terms(ta, tb, n):
-    if ta is None or tb is None:
-        return None
-    acc: dict = {}
-    for g, p in list(ta) + list(tb):
-        key = poly_reduce(p, n)
-        acc[key] = acc.get(key, 0.0 + 0.0j) + g
-    return tuple((g, p) for p, g in acc.items() if g != 0)
-
-
-def _product_terms(ta, tb, n):
-    if ta is None or tb is None:
-        return None
-    if len(ta) * len(tb) > 256:
-        return None
-    acc: dict = {}
-    for ga, pa in ta:
-        for gb, pb in tb:
-            key = _poly_add(pa, pb, n)
-            acc[key] = acc.get(key, 0.0 + 0.0j) + ga * gb
-    return tuple((g, p) for p, g in acc.items() if g != 0)
 
 
 def _phase_coeffs(n: int, terms, degree: int):

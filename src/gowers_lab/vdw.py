@@ -231,19 +231,6 @@ def vdw_number(
             c += 1
 
 
-def audit_minimality(k: int, m: int, n: int, trials: int, seed: int = 0) -> bool:
-    """Spot-check that random m-colourings of {1..n} all contain a mono
-    k-AP (a sampled stand-in for the search-exhaustion argument)."""
-    from .config import derive_rng
-
-    rng = derive_rng(seed, "vdw-audit")
-    for _ in range(trials):
-        cols = tuple(int(c) for c in rng.integers(1, m + 1, size=n))
-        if find_mono_ap(Colouring(n, m, cols), k) is None:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # colour focusing
 

@@ -85,6 +85,19 @@ def test_poly_degree_budget_below_ladder_is_rejected(capsys):
     assert err["error"]["type"] == "InvalidConfigurationError"
 
 
+def test_poly_degree_budget_does_not_bind_on_decompose(capsys):
+    """decompose builds its generators as dual certificates, which carry no
+    phase terms, so it never takes the Bernstein route the budget bounds:
+    budgets 4 and 64 give the same report, and only the digest differs."""
+    inp = str(DATA / "golden_input_n53.json")
+    args = ["structure", "decompose", "--input", inp, "--k", "3", "--delta", "0.3"]
+    rc4, env4 = run_json(capsys, args + ["--budget-poly-degree", "4"])
+    rc64, env64 = run_json(capsys, args + ["--budget-poly-degree", "64"])
+    assert rc4 == rc64 == 0
+    assert env4["report"] == env64["report"]
+    assert env4["config_digest"] != env64["config_digest"]
+
+
 def test_structure_decompose_golden_replay(tmp_path):
     golden = json.loads((DATA / "structure_n53.json").read_text())
     out = str(tmp_path / "replay.json")
@@ -186,6 +199,19 @@ def test_uap_dual_verify_audit(tmp_path, capsys):
     assert rc == 0
     assert env["report"]["holds"]
     assert env["report"]["k"] == 3  # an order-1 certificate audits against U^2
+
+
+def test_uap_verify_rejects_a_nan_literal(tmp_path, capsys):
+    f = write(tmp_path, "f.json", {"n": 7, "set": [0, 2, 3]})
+    cert = str(tmp_path / "cert.json")
+    assert main(["uap", "dual", "--input", f, "--order", "2", "--out", cert]) == 0
+    obj = json.loads(Path(cert).read_text())
+    obj["report"]["coeffs"][2][3][0] = float("nan")
+    Path(cert).write_text(json.dumps(obj))
+    assert "NaN" in Path(cert).read_text()  # the literal json.load accepts
+    rc, env = run_json(capsys, ["uap", "verify", "--cert", cert])
+    assert rc == 1
+    assert env["error"]["type"] == "CertificateInvalidError"
 
 
 # ---------------------------------------------------------------------------

@@ -309,7 +309,8 @@ def certify_dual_conj_ref(f, d):
 
 
 def verify_loop(cf, tol=1e-9):
-    """The verifier as it was: every check on one node at a time."""
+    """The verifier as it was, with every comparison written so that NaN
+    fails it: every check on one node at a time."""
     seen = {}
     worst = 0.0
     max_depth = 0
@@ -322,18 +323,18 @@ def verify_loop(cf, tol=1e-9):
         seen[id(node)] = None
         cert = node.cert
         atol = tol * max(1.0, cert.bound)
-        if cert.bound < 0:
+        if not cert.bound >= 0:
             raise CertificateInvalidError("negative bound", path)
         if cert.order == 0:
             if cert.value is None:
                 raise CertificateInvalidError("order-0 node without a constant", path)
-            if abs(cert.value) > cert.bound + atol:
+            if not abs(cert.value) <= cert.bound + atol:
                 raise CertificateInvalidError(
                     f"constant modulus {abs(cert.value):.6g} exceeds bound {cert.bound:.6g}",
                     path,
                 )
             err = float(np.max(np.abs(node.func.values - cert.value)))
-            if err > atol:
+            if not err <= atol:
                 raise CertificateInvalidError(
                     f"order-0 function is not the certified constant (err {err:.3e})",
                     path,
@@ -345,7 +346,7 @@ def verify_loop(cf, tol=1e-9):
         w = np.asarray(cert.weights, dtype=float)
         if np.any(w < -tol):
             raise CertificateInvalidError("negative weight", path)
-        if abs(float(w.sum()) - 1.0) > tol * max(1, len(w)):
+        if not abs(float(w.sum()) - 1.0) <= tol * max(1, len(w)):
             raise CertificateInvalidError(f"weights sum to {w.sum()!r}, not 1", path)
         for j, g in enumerate(cert.columns):
             if g.n != node.n:
@@ -359,7 +360,7 @@ def verify_loop(cf, tol=1e-9):
             coeff = np.asarray(cert.coeffs, dtype=np.complex128)
             if coeff.shape != (node.n, len(cert.columns)):
                 raise CertificateInvalidError("coefficient matrix shape mismatch", path)
-            if np.max(np.abs(coeff)) > 1.0 + tol:
+            if not np.max(np.abs(coeff)) <= 1.0 + tol:
                 raise CertificateInvalidError("order-0 coefficient exceeds 1", path)
             recon = cert.bound * (coeff * cert.weights[None, :]) @ cols
         else:
@@ -379,7 +380,7 @@ def verify_loop(cf, tol=1e-9):
                             f"coefficient order {sub.cert.order}, expected {cert.order - 1}",
                             path + (i, j),
                         )
-                    if sub.cert.bound > 1.0 + tol:
+                    if not sub.cert.bound <= 1.0 + tol:
                         raise CertificateInvalidError(
                             f"coefficient bound {sub.cert.bound:.6g} exceeds 1",
                             path + (i, j),
@@ -389,7 +390,7 @@ def verify_loop(cf, tol=1e-9):
             recon = cert.bound * np.einsum("ihx,hx->ix", coeff, cert.weights[:, None] * cols)
         shifted = node.func.values[_shift_table(node.n)]
         err = float(np.max(np.abs(shifted - recon)))
-        if err > atol * node.n:
+        if not err <= atol * node.n:
             raise CertificateInvalidError(
                 f"reconstruction error {err:.3e} beyond tolerance", path
             )
@@ -598,6 +599,91 @@ def test_verify_corruption_at_the_root():
     moved = _set_slot(lambda c: gl.CertifiedFunction(gl.shift(c.func, 1), c.cert))
     bad = _with_coeff_rows(cf, moved)
     assert _same_failure(bad).path == ("root",)
+
+
+def _with_value(node, i, value):
+    vals = node.func.values.copy()
+    vals[i] = value
+    return gl.CertifiedFunction(gl.GroupFunction(node.n, vals), node.cert)
+
+
+# (name, order of the dual's certificate, NaN put in, message pattern)
+NAN_CORRUPTIONS = [
+    ("bound", 1, lambda x: _recert(x, bound=np.nan), "negative bound"),
+    ("constant", 0, lambda x: _recert(x, value=complex(np.nan, 0.0)),
+     "constant modulus nan exceeds bound"),
+    ("weight", 1, lambda x: _recert(x, weights=np.r_[np.nan, x.cert.weights[1:]]),
+     "weights sum to"),
+    ("coefficient", 1, lambda x: _scaled_coeff(x, 2, 3, np.nan), "exceeds 1"),
+    ("value", 1, lambda x: _with_value(x, 4, np.nan), "reconstruction error nan"),
+    ("value", 0, lambda x: _with_value(x, 4, np.nan), "not the certified constant (err nan)"),
+]
+
+
+@pytest.mark.parametrize("case", NAN_CORRUPTIONS,
+                         ids=[f"{c[0]}-order{c[1]}" for c in NAN_CORRUPTIONS])
+def test_verify_rejects_nan(case):
+    """A NaN bound, constant, weight, coefficient or function value fails
+    verification, with the message and path of the loop reference."""
+    _, order, corrupt, pattern = case
+    f = bounded_function(np.random.default_rng(19), 7)
+    cf = gl.certify_dual(f, order + 1)
+    assert gl.verify_certificate(cf, 1e-9).total_nodes == 1
+    err = _same_failure(corrupt(cf))
+    assert pattern in str(err)
+    assert err.path == ("root",)
+
+
+def test_phase_terms_only_on_phase_sums_and_bound_preserving_wrappers():
+    """The phase-sum constructors record their terms, raise_bound and
+    cert_promote keep them (F is unchanged), and every other operation,
+    certify_constant and cert_zero leave them None."""
+    n = 7
+    for ps in (
+        gl.certify_phase_sum(n, [(0.4, (0, 1)), (0.3j, (0, 2, 3))]),
+        gl.certify_phase_sum(n, [(0.5, (2,))]),
+        gl.certify_quasiperiodic(gl.quasiperiodic(n, [(1.0, (0, 1, 1)), (-1.0, (3, 0, 2))])),
+    ):
+        assert ps.phase_terms
+        assert gl.raise_bound(ps, ps.bound + 1.0).phase_terms is ps.phase_terms
+        assert gl.cert_promote(ps, ps.order + 1).phase_terms is ps.phase_terms
+        other = gl.certify_phase_sum(n, [(0.2, (1,))], order=ps.order)
+        for out in (
+            gl.cert_scale(ps, 0.5j),
+            gl.cert_scale(ps, 0),
+            gl.cert_add(ps, other, 0.25),
+            gl.cert_sum(ps, other),
+            gl.cert_multiply(ps, other),
+            gl.cert_shift(ps, 3),
+            gl.cert_conj(ps),
+        ):
+            assert out.phase_terms is None
+            assert_certifies(out)
+    assert gl.certify_constant(n, 0.3 - 0.2j).phase_terms is None
+    assert gl.certify_constant(n, 0.0).phase_terms is None
+    for order in (0, 1, 2):
+        assert gl.cert_zero(n, order).phase_terms is None
+    assert gl.certify_phase_sum(n, [(1e-3, (0, 1))], chop=0.1).phase_terms is None
+
+
+# the sources of each _promote_one case: order 0 (nonzero, and zero with a
+# positive bound), bound 0 above order 0, and the general case
+PROMOTE_SOURCES = [
+    ("constant", lambda n: gl.certify_constant(n, 0.3 - 0.4j)),
+    ("zero constant, bound 0.5", lambda n: gl.certify_constant(n, 0, bound=0.5)),
+    ("zero, order 1", lambda n: gl.cert_zero(n, 1)),
+    ("dual, order 1", lambda n: gl.certify_dual(bounded_function(np.random.default_rng(20), n), 2)),
+]
+
+
+@pytest.mark.parametrize("source", PROMOTE_SOURCES, ids=[s[0] for s in PROMOTE_SOURCES])
+def test_cert_promote_to_order_3_from_each_case(source):
+    n = 7
+    cf = source[1](n)
+    up = gl.cert_promote(cf, 3)
+    assert up.order == 3
+    assert up.bound == cf.bound
+    assert_certifies(up, cf.func)
 
 
 @settings(max_examples=40, deadline=None)

@@ -165,7 +165,6 @@ def test_w32_frozen():
     assert res.nodes == 79
     assert res.avoider.colours == (1, 1, 2, 2, 1, 1, 2, 2)
     assert find_mono_ap(res.avoider, 3) is None
-    assert gl.audit_minimality(3, 2, 9, trials=200, seed=1)
 
 
 def test_w33_and_w42_frozen():
