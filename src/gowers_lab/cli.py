@@ -3,27 +3,22 @@
 One executable, seven command groups (gowers, uap, partition, levelset,
 structure, recur, vdw).  Every run prints a single JSON envelope
 {seed, version, config_digest, report} in canonical form, so identical
-inputs and seed give byte-identical output.  Domain failures exit 1 with
-a structured error object; argparse usage failures exit 2.
+inputs and seed give byte-identical output.  Each verb accepts only the
+run settings (seed, tol, budgets) its handler reads.  Domain failures and
+bad settings exit 1 with a structured error object; argparse usage
+failures, an unknown flag among them, exit 2.
 """
 from __future__ import annotations
 
 import argparse
 import ast
 import json
+import math
 import operator
 import sys
+from dataclasses import asdict
 
-from .config import (
-    DEFAULT_CERT_NODE_BUDGET,
-    DEFAULT_DIGIT_LIMIT,
-    DEFAULT_DRIVER_BUDGET,
-    DEFAULT_POLY_DEGREE,
-    DEFAULT_TOL,
-    DEFAULT_VDW_NODES,
-    VERSION,
-    RunConfig,
-)
+from .config import VERSION, RunConfig
 from .cyclic import GroupFunction
 from .errors import GowersLabError, InvalidConfigurationError, ModeError
 from .gowers import (
@@ -156,12 +151,7 @@ def _run_uap(args, cfg):
     if args.verb == "verify":
         cf = certificate_from_json(_load(args.cert))
         rep = verify_certificate(cf, tol=cfg.tol)
-        return {
-            "max_reconstruction_error": rep.max_reconstruction_error,
-            "depth": rep.depth,
-            "total_nodes": rep.total_nodes,
-            "ok": True,
-        }, None
+        return {**asdict(rep), "ok": True}, None
     if args.verb == "dual":
         f = _load_function(args.input)
         cf = certify_dual(f, args.order, node_budget=cfg.cert_nodes, tol=cfg.tol)
@@ -169,15 +159,7 @@ def _run_uap(args, cfg):
     if args.verb == "audit":
         f = _load_function(args.input)
         cf = certificate_from_json(_load(args.cert))
-        rep = duality_audit(f, cf, tol=cfg.tol)
-        return {
-            "k": rep.k,
-            "lhs": rep.lhs,
-            "rhs": rep.rhs,
-            "norm": rep.norm,
-            "bound": rep.bound,
-            "holds": rep.holds,
-        }, None
+        return asdict(duality_audit(f, cf, tol=cfg.tol)), None
     raise ModeError(f"unknown uap verb {args.verb!r}")
 
 
@@ -201,8 +183,7 @@ def _run_partition(args, cfg):
 
 def _run_levelset(args, cfg):
     certs = [_certify_input(_load(p)) for p in args.g]
-    eps = args.eps if len(args.eps) > 1 else args.eps[0]
-    algebra = level_set_algebra(certs, eps, seed=cfg.seed)
+    algebra = level_set_algebra(certs, args.eps, seed=cfg.seed)
     alpha = algebra.generators[0].alpha
     mass = _boundary_mass(
         [gen.certified.func.values for gen in algebra.generators],
@@ -283,35 +264,14 @@ def _run_recur(args, cfg):
                         samples=args.samples, seed=cfg.seed)
             for n in args.n
         ]
-        report = [
-            {
-                "n": r.n,
-                "k": r.k,
-                "delta": r.delta,
-                "mode": r.mode,
-                "c_min": r.c_min,
-                "count_min": r.count_min,
-                "witness": list(r.witness),
-                "sets_checked": r.sets_checked,
-            }
-            for r in rows
-        ]
-        return report, empirical_c_to_csv(rows)
+        return [asdict(r) for r in rows], empirical_c_to_csv(rows)
     if args.verb == "find-ap":
         obj = _load(args.input)
         ap = find_k_ap_in_set(obj["set"], args.k)
         return {"k": args.k, "ap": list(ap) if ap is not None else None}, None
     if args.verb == "net":
         vecs = [_load_function(p) for p in args.inputs]
-        net = greedy_net(vecs, args.theta)
-        return {
-            "representatives": list(net.representatives),
-            "radius": net.radius,
-            "separation": net.separation,
-            "dimension": net.dimension,
-            "natural_termination": net.natural_termination,
-            "packing_ok": net.packing_ok,
-        }, None
+        return asdict(greedy_net(vecs, args.theta)), None
     if args.verb == "sample":
         cols = [_load_function(p) for p in args.inputs]
         samp = finite_rank_sample(cols, args.weights, args.d, seed=cfg.seed,
@@ -326,27 +286,9 @@ def _run_recur(args, cfg):
 
 def _run_vdw(args, cfg):
     if args.verb == "number":
-        res = vdw_number(args.k, args.m, n_max=args.max, max_nodes=cfg.vdw_nodes)
-        return {
-            "k": res.k,
-            "m": res.m,
-            "value": res.value,
-            "lower_bound": res.lower_bound,
-            "complete": res.complete,
-            "nodes": res.nodes,
-            "avoider": {"n": res.avoider.n, "m": res.avoider.m,
-                        "colours": list(res.avoider.colours)},
-        }, None
+        return asdict(vdw_number(args.k, args.m, n_max=args.max, max_nodes=cfg.vdw_nodes)), None
     if args.verb == "bound":
-        rep = bound_recursion(args.k, args.m, digit_limit=cfg.digit_limit)
-        return {
-            "k": rep.k,
-            "m": rep.m,
-            "value": rep.value,
-            "digits": rep.digits,
-            "overflow": rep.overflow,
-            "tower": list(rep.tower),
-        }, None
+        return asdict(bound_recursion(args.k, args.m, digit_limit=cfg.digit_limit)), None
     if args.verb == "check":
         col = colouring_from_json(_load(args.colouring))
         ap = find_mono_ap(col, args.k)
@@ -369,49 +311,57 @@ _HANDLERS = {
 # parser
 
 
-def _common_flags(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out", default=None, help="write output here instead of stdout")
-    p.add_argument("--budget-driver-steps", type=int, default=DEFAULT_DRIVER_BUDGET)
-    p.add_argument("--budget-cert-nodes", type=int, default=DEFAULT_CERT_NODE_BUDGET)
-    p.add_argument("--budget-poly-degree", type=int, default=DEFAULT_POLY_DEGREE,
-                   help="bounds only the Bernstein route of level-set approximation; "
-                   "structure decompose never takes it, so there the value is only "
-                   "validated (below 4 is an error)")
-    p.add_argument("--budget-vdw-nodes", type=int, default=DEFAULT_VDW_NODES)
-    p.add_argument("--budget-digit-limit", type=int, default=DEFAULT_DIGIT_LIMIT)
+# RunConfig field -> flag; the default and the type come from RunConfig
+_SETTINGS = {
+    "seed": "--seed",
+    "tol": "--tol",
+    "driver_steps": "--budget-driver-steps",
+    "cert_nodes": "--budget-cert-nodes",
+    "poly_degree": "--budget-poly-degree",
+    "vdw_nodes": "--budget-vdw-nodes",
+    "digit_limit": "--budget-digit-limit",
+}
+_SETTING_HELP = {
+    "poly_degree": "bounds only the Bernstein route of level-set approximation, "
+    "which decompose never takes: the value is only validated (below 4 is an error)",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="gowers-lab")
     groups = top.add_subparsers(dest="group", required=True)
+    defaults = RunConfig()
 
-    def leaf(group_sub, name):
+    def leaf(group_sub, name, *settings):
+        """A verb that accepts exactly the run settings its handler reads."""
         p = group_sub.add_parser(name)
         p.set_defaults(verb=name)
-        _common_flags(p)
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--out", default=None, help="write output here instead of stdout")
+        for field in settings:
+            default = getattr(defaults, field)
+            p.add_argument(_SETTINGS[field], dest=field, type=type(default), default=default,
+                           help=_SETTING_HELP.get(field))
         return p
 
     g = groups.add_parser("gowers").add_subparsers(dest="verb", required=True)
-    p = leaf(g, "norm")
+    p = leaf(g, "norm", "tol")
     p.add_argument("--input", required=True)
     p.add_argument("--order", type=int, required=True)
     p = leaf(g, "dual")
     p.add_argument("--input", required=True)
     p.add_argument("--order", type=int, required=True)
-    p = leaf(g, "vnn")
+    p = leaf(g, "vnn", "tol")
     p.add_argument("--inputs", nargs="+", required=True)
     p.add_argument("--lambdas", nargs="+", type=int, required=True)
 
     u = groups.add_parser("uap").add_subparsers(dest="verb", required=True)
-    p = leaf(u, "verify")
+    p = leaf(u, "verify", "tol")
     p.add_argument("--cert", required=True)
-    p = leaf(u, "dual")
+    p = leaf(u, "dual", "cert_nodes", "tol")
     p.add_argument("--input", required=True)
     p.add_argument("--order", type=int, required=True)
-    p = leaf(u, "audit")
+    p = leaf(u, "audit", "tol")
     p.add_argument("--input", required=True)
     p.add_argument("--cert", required=True)
 
@@ -426,14 +376,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partition", required=True)
 
     l = groups.add_parser("levelset").add_subparsers(dest="verb", required=True)
-    p = leaf(l, "build")
+    p = leaf(l, "build", "seed")
     p.add_argument("--g", action="append", required=True,
                    help="generator file (function or certificate JSON); repeatable")
     p.add_argument("--eps", action="append", type=float, required=True,
                    help="scale; one shared value or one per generator")
 
     s = groups.add_parser("structure").add_subparsers(dest="verb", required=True)
-    p = leaf(s, "decompose")
+    p = leaf(s, "decompose", "seed", "tol", "driver_steps", "cert_nodes", "poly_degree")
     p.add_argument("--input", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--delta", type=float, required=True)
@@ -446,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--mu", type=int, default=1)
-    p = leaf(r, "empirical-c")
+    p = leaf(r, "empirical-c", "seed")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--n", action="append", type=int, required=True,
@@ -459,18 +409,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = leaf(r, "net")
     p.add_argument("--inputs", nargs="+", required=True)
     p.add_argument("--theta", type=float, required=True)
-    p = leaf(r, "sample")
+    p = leaf(r, "sample", "seed", "tol")
     p.add_argument("--inputs", nargs="+", required=True)
     p.add_argument("--weights", nargs="+", type=float, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--trial", type=int, default=0)
 
     v = groups.add_parser("vdw").add_subparsers(dest="verb", required=True)
-    p = leaf(v, "number")
+    p = leaf(v, "number", "vdw_nodes")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--max", type=int, default=10000)
-    p = leaf(v, "bound")
+    p = leaf(v, "bound", "digit_limit")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p = leaf(v, "check")
@@ -488,18 +438,21 @@ def _emit(text: str, out_path):
         sys.stdout.write(text)
 
 
+def _check_settings(cfg: RunConfig):
+    """Budgets are counts and --tol a finite slack; anything else exits 1 before any work."""
+    if not 0 <= cfg.tol < math.inf:
+        raise InvalidConfigurationError(f"--tol must be finite and non-negative, got {cfg.tol}")
+    for field, flag in _SETTINGS.items():
+        value = getattr(cfg, field)
+        if flag.startswith("--budget-") and value < 0:
+            raise InvalidConfigurationError(f"{flag} must be non-negative, got {value}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = RunConfig(
-        seed=args.seed,
-        tol=args.tol,
-        driver_steps=args.budget_driver_steps,
-        cert_nodes=args.budget_cert_nodes,
-        poly_degree=args.budget_poly_degree,
-        vdw_nodes=args.budget_vdw_nodes,
-        digit_limit=args.budget_digit_limit,
-    )
+    cfg = RunConfig(**{f: v for f, v in vars(args).items() if f in _SETTINGS})
     try:
+        _check_settings(cfg)
         report, csv_text = _HANDLERS[args.group](args, cfg)
         if args.format == "csv":
             if csv_text is None:

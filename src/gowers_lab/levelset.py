@@ -141,8 +141,11 @@ def level_set_algebra(
     n = gens[0].n
     if any(g.n != n for g in gens):
         raise InvalidConfigurationError("generators on different groups")
-    eps_list = list(np.broadcast_to(np.asarray(eps, dtype=float), len(gens)))
-    if any(e <= 0 for e in eps_list):
+    eps_arr = np.asarray(eps, dtype=float).ravel()
+    if eps_arr.size not in (1, len(gens)):
+        raise InvalidConfigurationError(f"{eps_arr.size} eps values for {len(gens)} generators")
+    eps_list = list(np.broadcast_to(eps_arr, len(gens)))
+    if any(not e > 0 for e in eps_list):
         raise InvalidConfigurationError("eps must be positive")
     values_list = [g.func.values for g in gens]
     if alpha is None:

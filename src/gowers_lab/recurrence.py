@@ -282,7 +282,7 @@ def greedy_net(vectors, theta: float) -> EpsilonNet:
     the finite-dimensional packing bound on the net size is asserted only
     when phase 1 stopped on its own rather than at the cap.
     """
-    if theta <= 0:
+    if not theta > 0:
         raise InvalidConfigurationError("theta must be positive")
     mat = _as_matrix(vectors)
     t_count, dim = mat.shape
@@ -362,7 +362,7 @@ def finite_rank_sample(
     if np.max(np.abs(mat)) > 1.0 + tol:
         raise BoundednessError("columns must satisfy max|G_h| <= 1")
     w = np.asarray(weights, dtype=float)
-    if w.shape[0] != mat.shape[0] or np.any(w < 0):
+    if w.shape[0] != mat.shape[0] or not np.all(w >= 0) or not 0 < w.sum() < np.inf:
         raise InvalidConfigurationError("weights must be a probability vector")
     w = w / w.sum()
     exact = (w[:, None] * mat).sum(axis=0)

@@ -43,11 +43,7 @@ def canonical_dumps(obj) -> str:
 
 
 def function_to_json(f: GroupFunction) -> dict:
-    return {
-        "n": f.n,
-        "re": [float(v) for v in f.values.real],
-        "im": [float(v) for v in f.values.imag],
-    }
+    return {"n": f.n, "re": f.values.real.tolist(), "im": f.values.imag.tolist()}
 
 
 def function_from_json(obj: dict) -> GroupFunction:
@@ -111,13 +107,11 @@ def certificate_to_json(cf: CertifiedFunction) -> dict:
     if cert.order == 0:
         out["value"] = [float(np.real(cert.value)), float(np.imag(cert.value))]
         return out
-    out["weights"] = [float(w) for w in cert.weights]
+    out["weights"] = np.asarray(cert.weights, float).tolist()
     out["columns"] = [function_to_json(g) for g in cert.columns]
     if cert.order == 1:
         coeff = np.asarray(cert.coeffs)
-        out["coeffs"] = [
-            [[float(c.real), float(c.imag)] for c in row] for row in coeff
-        ]
+        out["coeffs"] = np.stack([coeff.real, coeff.imag], -1).tolist()
     else:
         out["coeffs"] = [
             [certificate_to_json(c) for c in row] for row in cert.coeffs

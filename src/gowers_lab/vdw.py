@@ -37,14 +37,8 @@ def find_mono_ap(col: Colouring, k: int):
     colour and r >= 1, or None."""
     if k < 1:
         raise InvalidConfigurationError("k must be at least 1")
-    if k == 1:
-        return (1, 1) if col.n >= 1 else None
-    for a in range(1, col.n + 1):
-        c = col[a]
-        for r in range(1, (col.n - a) // (k - 1) + 1):
-            if all(col[a + j * r] == c for j in range(1, k)):
-                return (a, r)
-    return None
+    ap = _mono_symbol_ap(col.colours, k)
+    return None if ap is None else (ap[0] + 1, ap[1])
 
 
 def _mono_symbol_ap(symbols, k: int):

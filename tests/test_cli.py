@@ -1,5 +1,6 @@
 """End-to-end command-line coverage: every verb, the JSON envelope,
 exit codes, CSV forms, and the frozen decompose regression."""
+import argparse
 import json
 import re
 import shlex
@@ -144,6 +145,130 @@ def test_csv_without_csv_form_errors(tmp_path, capsys):
     )
     assert rc == 1
     assert err["error"]["type"] == "ModeError"
+
+
+# ---------------------------------------------------------------------------
+# run settings: each verb takes only the ones it reads
+
+
+SETTINGS = {"--seed", "--tol", "--budget-driver-steps", "--budget-cert-nodes",
+            "--budget-poly-degree", "--budget-vdw-nodes", "--budget-digit-limit"}
+VERB_SETTINGS = {
+    ("gowers", "norm"): {"--tol"},
+    ("gowers", "dual"): set(),
+    ("gowers", "vnn"): {"--tol"},
+    ("uap", "verify"): {"--tol"},
+    ("uap", "dual"): {"--budget-cert-nodes", "--tol"},
+    ("uap", "audit"): {"--tol"},
+    ("partition", "join"): set(),
+    ("partition", "condexp"): set(),
+    ("partition", "energy"): set(),
+    ("levelset", "build"): {"--seed"},
+    ("structure", "decompose"): {"--seed", "--tol", "--budget-driver-steps",
+                                 "--budget-cert-nodes", "--budget-poly-degree"},
+    ("recur", "average"): set(),
+    ("recur", "empirical-c"): {"--seed"},
+    ("recur", "find-ap"): set(),
+    ("recur", "net"): set(),
+    ("recur", "sample"): {"--seed", "--tol"},
+    ("vdw", "number"): {"--budget-vdw-nodes"},
+    ("vdw", "bound"): {"--budget-digit-limit"},
+    ("vdw", "check"): set(),
+}
+
+
+def leaf_flags():
+    """(group, verb) -> every option string the leaf parser accepts."""
+    def children(parser):
+        return next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    return {
+        (group, verb): {opt for a in leaf._actions for opt in a.option_strings}
+        for group, sub in children(build_parser()).items()
+        for verb, leaf in children(sub).items()
+    }
+
+
+def test_each_verb_accepts_exactly_its_settings():
+    flags = leaf_flags()
+    assert sorted(flags) == sorted(VERB_SETTINGS)
+    for verb, opts in flags.items():
+        assert opts & SETTINGS == VERB_SETTINGS[verb], verb
+        assert {"--format", "--out"} <= opts, verb
+    settable = sum(len(opts & (SETTINGS | {"--format", "--out"})) for opts in flags.values())
+    assert settable == 55
+
+
+def test_unread_setting_is_a_usage_error(tmp_path, capsys):
+    f = write(tmp_path, "f.json", {"n": 7, "set": [0, 1]})
+    with pytest.raises(SystemExit) as exc:
+        main(["gowers", "norm", "--input", f, "--order", "2", "--budget-vdw-nodes", "5"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["vdw", "bound", "--k", "3", "--m", "2", "--budget-digit-limit", "-1"],
+    ["structure", "decompose", "--input", "F", "--k", "3", "--delta", "0.3",
+     "--budget-driver-steps", "-3"],
+    ["gowers", "norm", "--input", "F", "--order", "2", "--tol", "-1"],
+    ["uap", "verify", "--cert", "CERT", "--tol", "nan"],
+    ["gowers", "norm", "--input", "F", "--order", "2", "--tol", "inf"],
+], ids=["digit-limit", "driver-steps", "tol-negative", "tol-nan", "tol-inf"])
+def test_bad_run_settings_exit_before_any_work(tmp_path, capsys, argv):
+    """A negative budget or a negative or non-finite --tol is rejected up
+    front, not misread by the handler (an infinite digit count, a spent
+    step budget, a failed imaginary-part check, a valid certificate
+    refused)."""
+    f, cert = write(tmp_path, "f.json", {"n": 7, "set": [0, 2, 3]}), str(tmp_path / "cert.json")
+    assert main(["uap", "dual", "--input", f, "--order", "2", "--out", cert]) == 0
+    files = {"F": f, "CERT": cert}
+    rc, err = run_json(capsys, [files.get(a, a) for a in argv])
+    assert rc == 1
+    assert err["error"]["type"] == "InvalidConfigurationError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["levelset", "build", "--g", "G", "--eps", "nan"],
+    ["levelset", "build", "--g", "G", "--g", "G", "--g", "G", "--eps", "0.25", "--eps", "0.1"],
+    ["recur", "net", "--inputs", "C", "C", "--theta", "nan"],
+    ["recur", "sample", "--inputs", "C", "C", "--weights", "nan", "0.5", "--d", "4"],
+    ["recur", "sample", "--inputs", "C", "C", "--weights", "0", "0", "--d", "4"],
+], ids=["eps-nan", "eps-count", "theta-nan", "weight-nan", "weights-zero"])
+def test_bad_scales_get_error_envelope(tmp_path, capsys, argv):
+    g = {"n": 13, "terms": [{"c": [1.0, 0.0], "poly": [0, 1]}]}
+    files = {"G": write(tmp_path, "g.json", g), "C": write(tmp_path, "c.json", {"n": 5, "re": [1.0] * 5})}
+    rc, err = run_json(capsys, [files.get(a, a) for a in argv])
+    assert rc == 1
+    assert err["error"]["type"] == "InvalidConfigurationError"
+
+
+def test_dataclass_reports_keep_their_keys(tmp_path, capsys):
+    f = write(tmp_path, "f.json", {"n": 7, "set": [0, 2, 3]})
+    cert = str(tmp_path / "cert.json")
+    assert main(["uap", "dual", "--input", f, "--order", "2", "--out", cert]) == 0
+    want = {
+        ("uap", "verify", "--cert", cert):
+            {"max_reconstruction_error", "depth", "total_nodes", "ok"},
+        ("uap", "audit", "--input", f, "--cert", cert):
+            {"k", "lhs", "rhs", "norm", "bound", "holds"},
+        ("recur", "net", "--inputs", f, f, "--theta", "0.5"):
+            {"representatives", "radius", "separation", "dimension",
+             "natural_termination", "packing_ok"},
+        ("vdw", "number", "--k", "3", "--m", "2"):
+            {"k", "m", "value", "lower_bound", "complete", "nodes", "avoider"},
+        ("vdw", "bound", "--k", "3", "--m", "2"):
+            {"k", "m", "value", "digits", "overflow", "tower"},
+    }
+    for argv, keys in want.items():
+        rc, env = run_json(capsys, list(argv))
+        assert rc == 0 and set(env["report"]) == keys, argv
+        if argv[1] == "number":
+            assert set(env["report"]["avoider"]) == {"n", "m", "colours"}
+    rc, env = run_json(capsys, ["recur", "empirical-c", "--k", "3", "--delta", "0.5", "--n", "5"])
+    assert rc == 0
+    assert set(env["report"][0]) == {"n", "k", "delta", "mode", "c_min", "count_min",
+                                     "witness", "sets_checked"}
 
 
 # ---------------------------------------------------------------------------
@@ -515,3 +640,19 @@ def test_readme_cli_lines_parse():
         assert argv[0] == "gowers-lab", line
         args = build_parser().parse_args(argv[1:])
         assert args.group == argv[1] and args.verb == argv[2], line
+
+
+def test_readme_lists_each_verbs_settings():
+    """The README's run-settings table names, for every verb, exactly the
+    settings its parser accepts."""
+    text = README.read_text()
+    table = re.search(r"\| verb \| run settings \|\n\|[-| ]+\|\n((?:\|.*\|\n)+)", text).group(1)
+    listed = {}
+    for row in table.splitlines():
+        verbs, settings = row.strip("|").split("|")
+        for verb in re.findall(r"`(\w+ [\w-]+)`", verbs):
+            listed[tuple(verb.split())] = set(re.findall(r"`(--[\w-]+)`", settings))
+    flags = leaf_flags()
+    assert sorted(listed) == sorted(flags)
+    for verb, opts in flags.items():
+        assert listed[verb] == opts & SETTINGS, verb
