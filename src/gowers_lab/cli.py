@@ -215,7 +215,6 @@ def _run_structure(args, cfg):
         budget=cfg.driver_steps,
         node_budget=cfg.cert_nodes,
         tol=cfg.tol,
-        degree_budget=cfg.poly_degree,
     )
     checks = verify_decomposition(f, dec, tol=cfg.tol)
     report = {
@@ -317,13 +316,8 @@ _SETTINGS = {
     "tol": "--tol",
     "driver_steps": "--budget-driver-steps",
     "cert_nodes": "--budget-cert-nodes",
-    "poly_degree": "--budget-poly-degree",
     "vdw_nodes": "--budget-vdw-nodes",
     "digit_limit": "--budget-digit-limit",
-}
-_SETTING_HELP = {
-    "poly_degree": "bounds only the Bernstein route of level-set approximation, "
-    "which decompose never takes: the value is only validated (below 4 is an error)",
 }
 
 
@@ -340,8 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write output here instead of stdout")
         for field in settings:
             default = getattr(defaults, field)
-            p.add_argument(_SETTINGS[field], dest=field, type=type(default), default=default,
-                           help=_SETTING_HELP.get(field))
+            p.add_argument(_SETTINGS[field], dest=field, type=type(default), default=default)
         return p
 
     g = groups.add_parser("gowers").add_subparsers(dest="verb", required=True)
@@ -383,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scale; one shared value or one per generator")
 
     s = groups.add_parser("structure").add_subparsers(dest="verb", required=True)
-    p = leaf(s, "decompose", "seed", "tol", "driver_steps", "cert_nodes", "poly_degree")
+    p = leaf(s, "decompose", "seed", "tol", "driver_steps", "cert_nodes")
     p.add_argument("--input", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--delta", type=float, required=True)
@@ -439,12 +432,13 @@ def _emit(text: str, out_path):
 
 
 def _check_settings(cfg: RunConfig):
-    """Budgets are counts and --tol a finite slack; anything else exits 1 before any work."""
+    """--seed and the budgets are non-negative integers and --tol a finite slack;
+    anything else exits 1 before any work."""
     if not 0 <= cfg.tol < math.inf:
         raise InvalidConfigurationError(f"--tol must be finite and non-negative, got {cfg.tol}")
     for field, flag in _SETTINGS.items():
         value = getattr(cfg, field)
-        if flag.startswith("--budget-") and value < 0:
+        if field != "tol" and value < 0:
             raise InvalidConfigurationError(f"{flag} must be non-negative, got {value}")
 
 

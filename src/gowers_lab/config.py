@@ -38,9 +38,6 @@ def derive_rng(seed: int, label: str, *indices: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-# Cap on Bernstein polynomial degrees in certified approximation.
-DEFAULT_POLY_DEGREE = 64
-
 # Node budget for the van der Waerden backtracking search.
 DEFAULT_VDW_NODES = 10 ** 9
 
@@ -53,7 +50,6 @@ class RunConfig:
     tol: float = DEFAULT_TOL
     driver_steps: int = DEFAULT_DRIVER_BUDGET
     cert_nodes: int = DEFAULT_CERT_NODE_BUDGET
-    poly_degree: int = DEFAULT_POLY_DEGREE
     vdw_nodes: int = DEFAULT_VDW_NODES
     digit_limit: int = DEFAULT_DIGIT_LIMIT
 

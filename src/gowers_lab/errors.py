@@ -71,7 +71,7 @@ class MeasurabilityError(GowersLabError):
 
 
 class ApproximationBudgetError(GowersLabError):
-    """Polynomial approximation failed to reach the target within budget."""
+    """Certified approximation missed its target L2 error."""
 
     def __init__(self, message, achieved=None):
         super().__init__(message)

@@ -22,13 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_POLY_DEGREE, DEFAULT_TOL, derive_rng
+from .config import DEFAULT_TOL, derive_rng
 from .cyclic import GroupFunction, l2_norm, linf_norm
 from .errors import (
     ApproximationBudgetError,
     InvalidConfigurationError,
     MeasurabilityError,
-    ModeError,
     NumericalInconsistencyError,
 )
 from .gowers import fourier_coefficients
@@ -193,141 +192,20 @@ class ApproximationResult:
     method: str
 
 
-def _is_single_phase(g: LevelSetGenerator) -> bool:
-    return g.certified.phase_terms is not None and len(g.certified.phase_terms) == 1
-
-
-_DEGREE_LADDER = (4, 8, 16, 32, 64)
-
-
-def _bernstein_single_phase(
-    f: GroupFunction, algebra: CompactAlgebra, delta: float, degree_budget: int
-):
-    """Bernstein route for one single-phase generator; returns
-    (terms, error) or (None, best error) when the degree budget runs out:
-    rungs of the degree ladder above degree_budget are skipped.
-
-    The generator is gamma e(Q(x)/n), so every atom is a union of arcs in
-    the phase variable t = Q(x)/n mod 1.  The target is smoothed along t,
-    approximated by a tensor Bernstein polynomial in the circle
-    coordinates (cos, sin), and the composite, a trigonometric polynomial
-    of degree at most 2D in t, is recovered exactly by interpolation so
-    the certificate reproduces the evaluated values.
-    """
-    gen = algebra.generators[0]
-    gamma, poly = gen.certified.phase_terms[0]
-    n = f.n
-    from .cyclic import poly_values_mod
-
-    t_idx = poly_values_mod(poly, n)  # Q(x) mod n
-    t = t_idx / n
-    arg = np.angle(gamma) / (2 * np.pi) if gamma != 0 else 0.0
-
-    # piecewise-constant target on a fine phase grid, then a wrapped
-    # Gaussian smoothing; grid values come from the attained points
-    grid = 1 << 12
-    target = np.zeros(grid, dtype=np.complex128)
-    filled = np.zeros(grid, dtype=bool)
-    pos = np.floor(t * grid).astype(int) % grid
-    target[pos] = f.values
-    filled[pos] = True
-    if not filled.all():
-        # nearest attained phase fills the gaps
-        idx = np.where(filled)[0]
-        all_idx = np.arange(grid)
-        diff = np.abs(all_idx[:, None] - idx[None, :])
-        diff = np.minimum(diff, grid - diff)
-        target = target[idx[np.argmin(diff, axis=1)]]
-
-    sigma = max(delta * delta / 64.0, 1.0 / grid)
-    best_err = np.inf
-    for _ in range(4):
-        freqs = np.fft.fftfreq(grid, d=1.0 / grid)
-        kernel = np.exp(-2 * (np.pi * sigma * freqs) ** 2)
-        smooth = np.fft.ifft(np.fft.fft(target) * kernel)
-
-        for degree in (d for d in _DEGREE_LADDER if d <= degree_budget):
-            # tensor Bernstein sample values h(a/D, b/D) from the smoothed
-            # target at the angle matching each circle node
-            d_deg = degree
-            u_nodes = np.arange(d_deg + 1) / d_deg
-
-            def h_val(u, v):
-                ang = np.arctan2(2 * v - 1, 2 * u - 1) / (2 * np.pi)
-                gpos = np.floor(((ang - arg) % 1.0) * grid).astype(int) % grid
-                return smooth[gpos]
-
-            uu, vv = np.meshgrid(u_nodes, u_nodes, indexing="ij")
-            h_matrix = h_val(uu, vv)
-
-            theta = 2 * np.pi * (t + arg)
-            u = (np.cos(theta) + 1) / 2
-            v = (np.sin(theta) + 1) / 2
-            bu = _bernstein_basis(u, d_deg)  # (n, D+1)
-            bv = _bernstein_basis(v, d_deg)
-            approx = np.einsum("xa,ab,xb->x", bu, h_matrix, bv)
-            err = float(np.sqrt(np.mean(np.abs(f.values - approx) ** 2)))
-            best_err = min(best_err, err)
-            if err <= delta:
-                # exact trig interpolation of the composite in t
-                two_d = 2 * d_deg
-                samples = 4 * d_deg + 5
-                ts = np.arange(samples) / samples
-                th = 2 * np.pi * (ts + arg)
-                su = _bernstein_basis((np.cos(th) + 1) / 2, d_deg)
-                sv = _bernstein_basis((np.sin(th) + 1) / 2, d_deg)
-                gvals = np.einsum("xa,ab,xb->x", su, h_matrix, sv)
-                spec = np.fft.fft(gvals) / samples
-                terms = []
-                for m in range(-two_d, two_d + 1):
-                    coeff = spec[m % samples]
-                    if abs(coeff) <= 1e-13:
-                        continue
-                    scaled = tuple((m * c) % n for c in poly)
-                    terms.append((complex(coeff), scaled))
-                return terms, err
-        sigma /= 2.0
-    return None, best_err
-
-
-def _bernstein_basis(x: np.ndarray, degree: int) -> np.ndarray:
-    from math import comb
-
-    k = np.arange(degree + 1)
-    c = np.array([comb(degree, int(a)) for a in k], dtype=float)
-    xx = x[:, None]
-    return c[None, :] * xx ** k[None, :] * (1 - xx) ** (degree - k)[None, :]
-
-
 def approximate_measurable(
     f: GroupFunction,
     algebra: CompactAlgebra,
     delta: float,
-    method: str = "auto",
     tol: float = DEFAULT_TOL,
-    degree_budget: int = DEFAULT_POLY_DEGREE,
 ) -> ApproximationResult:
     """Certify a function within L2 distance delta of a measurable f.
 
     f must be constant on the atoms of the algebra.  The certificate is
-    promoted to the algebra's order.  Routes: 'bernstein' composites a
-    Bernstein polynomial with the generator's phase and fails honestly
-    with the achieved error when the degree budget (the degrees 4, 8,
-    16, 32, 64 up to degree_budget, each with three sigma halvings) is
-    exhausted; 'spectral' expands f in characters, which is exact with
-    bound the l1 mass of the spectrum; 'auto' tries the first
-    when the algebra has a single single-phase generator and falls back
-    to the second.  A generator is single-phase when its phase_terms
-    hold one term: only certify_phase_sum and certify_quasiperiodic set
-    them, and only raise_bound and cert_promote keep them.  A generator
-    from any other operation (a dual certificate, or a shifted, scaled,
-    summed or conjugated phase sum) takes the spectral route under
-    'auto', and 'bernstein' raises ApproximationBudgetError on it.
+    promoted to the algebra's order.  Routes, in order: 'zero' when
+    ||f||_2 <= delta, 'constant' when f is constant to within tol, and
+    otherwise 'spectral', which expands f in characters: exact, with
+    bound the l1 mass of the spectrum, whatever the generators are.
     """
-    if method not in ("auto", "bernstein", "spectral"):
-        raise ModeError(f"unknown method {method!r}")
-    if degree_budget < _DEGREE_LADDER[0]:
-        raise InvalidConfigurationError(f"polynomial degree budget {degree_budget} below 4")
     proj = conditional_expectation(f, algebra.partition)
     meas_gap = linf_norm(f - proj)
     if meas_gap > tol * max(1.0, linf_norm(f)):
@@ -347,27 +225,6 @@ def approximate_measurable(
         const = cert_promote(certify_constant(n, mean), target_order)
         err = l2_norm(f - const.func)
         return ApproximationResult(const, err, "constant")
-
-    single = (
-        len(algebra.generators) == 1 and _is_single_phase(algebra.generators[0])
-    )
-    if method == "bernstein" or (method == "auto" and single):
-        if not single:
-            raise ApproximationBudgetError(
-                "Bernstein route needs exactly one single-phase generator",
-                achieved=None,
-            )
-        terms, err = _bernstein_single_phase(f, algebra, delta, degree_budget)
-        if terms is not None:
-            cf = certify_phase_sum(n, terms)
-            cf = cert_promote(cf, max(target_order, cf.cert.order))
-            true_err = l2_norm(f - cf.func)
-            return ApproximationResult(cf, true_err, "bernstein")
-        if method == "bernstein":
-            raise ApproximationBudgetError(
-                f"degree budget exhausted at error {err:.3e} (target {delta:.3e})",
-                achieved=err,
-            )
 
     spectrum = fourier_coefficients(f)
     terms = [

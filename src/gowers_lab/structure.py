@@ -23,9 +23,7 @@ from math import ceil
 
 import numpy as np
 
-from .config import (
-    DEFAULT_TOL, DEFAULT_DRIVER_BUDGET, DEFAULT_CERT_NODE_BUDGET, DEFAULT_POLY_DEGREE,
-)
+from .config import DEFAULT_TOL, DEFAULT_DRIVER_BUDGET, DEFAULT_CERT_NODE_BUDGET
 from .cyclic import GroupFunction, expectation, l2_norm, linf_norm
 from .errors import (
     BoundednessError,
@@ -100,7 +98,6 @@ def structure_dichotomy(
     seed: int = 0,
     node_budget: int = DEFAULT_CERT_NODE_BUDGET,
     tol: float = DEFAULT_TOL,
-    degree_budget: int = DEFAULT_POLY_DEGREE,
 ):
     """One step: Decomposition on success, EnergyIncrement otherwise.
 
@@ -120,7 +117,7 @@ def structure_dichotomy(
             f"energy gap {e_ref - e_base:.3e} already above tau^2 = {tau * tau:.3e}"
         )
     f_perp = conditional_expectation(f, refined.partition)
-    approx = approximate_measurable(f_perp, refined, tau, tol=tol, degree_budget=degree_budget)
+    approx = approximate_measurable(f_perp, refined, tau, tol=tol)
     if threshold is None:
         threshold = default_threshold(k, delta, approx.certified.cert.bound)
     f_u = f - f_perp
@@ -196,7 +193,6 @@ def decompose(
     budget: int = DEFAULT_DRIVER_BUDGET,
     node_budget: int = DEFAULT_CERT_NODE_BUDGET,
     tol: float = DEFAULT_TOL,
-    degree_budget: int = DEFAULT_POLY_DEGREE,
 ) -> Decomposition:
     """Run the two-speed energy-increment loop from the trivial algebra."""
     _check_density(f, tol)
@@ -214,7 +210,7 @@ def decompose(
         result = structure_dichotomy(
             f, k, base, refined, delta,
             threshold=threshold, seed=seed,
-            node_budget=node_budget, tol=tol, degree_budget=degree_budget,
+            node_budget=node_budget, tol=tol,
         )
         e_base = energy([f], base.partition)
         if isinstance(result, Decomposition):

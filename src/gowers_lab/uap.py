@@ -20,13 +20,6 @@ allow.  certify_dual keeps that sharing: the N shifts of a sub-certificate
 coefficient rows.  verify_certificate checks each row once, the weights
 and columns once per column set, and the reconstructions of a column set
 in one stacked product.
-
-Phase terms: certify_phase_sum and certify_quasiperiodic also record F
-exactly as the terms ((gamma_m, P_m), ...) of sum_m gamma_m e(P_m(x)/n),
-which the Bernstein route of levelset.approximate_measurable reads off a
-single-phase generator.  raise_bound and cert_promote leave F unchanged
-and keep the terms; every other operation, and certify_constant, leaves
-them None.
 """
 from __future__ import annotations
 
@@ -75,9 +68,6 @@ class CertifiedFunction:
 
     func: GroupFunction
     cert: UapCertificate
-    # ((gamma, poly), ...): set by the phase-sum constructors, kept by
-    # raise_bound and cert_promote, None after any other operation
-    phase_terms: tuple | None = None
 
     @property
     def n(self) -> int:
@@ -348,7 +338,7 @@ def raise_bound(cf: CertifiedFunction, new_bound: float) -> CertifiedFunction:
         new = UapCertificate(0, float(new_bound), value=cert.value)
     else:  # the ratio is 0 when the old bound was 0: zero function
         new = _rescaled(cert, float(new_bound), cert.bound / new_bound)
-    return CertifiedFunction(cf.func, new, cf.phase_terms)
+    return CertifiedFunction(cf.func, new)
 
 
 def _require_same(a: CertifiedFunction, b: CertifiedFunction):
@@ -492,7 +482,7 @@ def _promote_one(cf: CertifiedFunction) -> CertifiedFunction:
         )
     new = UapCertificate(cert.order + 1, cert.bound, weights=np.array([1.0]),
                          columns=(GroupFunction.constant(n, 1.0),), coeffs=coeffs)
-    return CertifiedFunction(cf.func, new, cf.phase_terms)
+    return CertifiedFunction(cf.func, new)
 
 
 # ---------------------------------------------------------------------------
@@ -502,11 +492,13 @@ def _promote_one(cf: CertifiedFunction) -> CertifiedFunction:
 def _phase_coeffs(n: int, terms, degree: int):
     """Coefficient (i, m) = c_m e((P_m(x+i) - P_m(x))/n) for terms (c_m, P_m):
     constants at degree 1, else certified one order down."""
-    if degree == 1:
+    if degree == 1:  # P_m(x+i) - P_m(x) = a_m i, a_m the linear coefficient
+        table = [np.exp(2j * np.pi * j / n) for j in range(n)]
         coeffs = np.empty((n, len(terms)), dtype=np.complex128)
         for m, (c, p) in enumerate(terms):
-            for i in range(n):
-                coeffs[i, m] = c * np.exp(2j * np.pi * poly_shift_difference(p, i, n)[0] / n)
+            a = (poly_reduce(p, n) + (0,))[1]
+            for i in range(n):  # scalar products: numpy's array multiply can differ by an ulp
+                coeffs[i, m] = c * table[a * i % n]
         return coeffs
     return tuple(
         tuple(certify_phase_sum(n, [(c, poly_shift_difference(p, i, n))], order=degree - 1)
@@ -539,11 +531,10 @@ def certify_phase_sum(
     for g, p in kept:
         values += g * phase_values(p, n)
     func = GroupFunction(n, values)
-    term_tuple = tuple(kept)
     if degree == 0:
         const = complex(sum(g * np.exp(2j * np.pi * p[0] / n) for g, p in kept))
         cert = UapCertificate(0, float(total), value=const)
-        out = CertifiedFunction(GroupFunction.constant(n, const), cert, term_tuple)
+        out = CertifiedFunction(GroupFunction.constant(n, const), cert)
     else:
         columns = tuple(GroupFunction(n, phase_values(p, n)) for _, p in kept)
         weights = np.array([abs(g) / total for g, _ in kept])
@@ -551,7 +542,7 @@ def certify_phase_sum(
         cert = UapCertificate(
             degree, float(total), weights=weights, columns=columns, coeffs=coeffs
         )
-        out = CertifiedFunction(func, cert, term_tuple)
+        out = CertifiedFunction(func, cert)
     if order is not None and order > out.cert.order:
         out = cert_promote(out, order)
     elif order is not None and order < out.cert.order:
@@ -573,16 +564,15 @@ def certify_quasiperiodic(ps: PhaseSum) -> CertifiedFunction:
     terms = list(ps.terms)
     j_count = len(terms)
     degree = ps.degree
-    scaled = tuple((c / j_count, p) for c, p in terms)
     if degree == 0:
         value = complex(np.mean(ps.func.values))
         cert = UapCertificate(0, 1.0, value=value)
-        return CertifiedFunction(ps.func, cert, scaled)
+        return CertifiedFunction(ps.func, cert)
     columns = tuple(GroupFunction(n, phase_values(p, n)) for _, p in terms)
     weights = np.full(j_count, 1.0 / j_count)
     coeffs = _phase_coeffs(n, terms, degree)
     cert = UapCertificate(degree, 1.0, weights=weights, columns=columns, coeffs=coeffs)
-    return CertifiedFunction(ps.func, cert, scaled)
+    return CertifiedFunction(ps.func, cert)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """End-to-end command-line coverage: every verb, the JSON envelope,
 exit codes, CSV forms, and the frozen decompose regression."""
 import argparse
+import dataclasses
 import json
 import re
 import shlex
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import gowers_lab as gl
+from gowers_lab import cli
 from gowers_lab.cli import _threshold_value, build_parser, main
 from gowers_lab.errors import InvalidConfigurationError
 from gowers_lab.structure import TRACE_COLUMNS
@@ -78,27 +80,6 @@ def test_byte_identical_reruns(tmp_path):
     assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
-def test_poly_degree_budget_below_ladder_is_rejected(capsys):
-    inp = str(DATA / "golden_input_n53.json")
-    args = ["structure", "decompose", "--input", inp, "--k", "3", "--delta", "0.3"]
-    rc, err = run_json(capsys, args + ["--budget-poly-degree", "3"])
-    assert rc == 1
-    assert err["error"]["type"] == "InvalidConfigurationError"
-
-
-def test_poly_degree_budget_does_not_bind_on_decompose(capsys):
-    """decompose builds its generators as dual certificates, which carry no
-    phase terms, so it never takes the Bernstein route the budget bounds:
-    budgets 4 and 64 give the same report, and only the digest differs."""
-    inp = str(DATA / "golden_input_n53.json")
-    args = ["structure", "decompose", "--input", inp, "--k", "3", "--delta", "0.3"]
-    rc4, env4 = run_json(capsys, args + ["--budget-poly-degree", "4"])
-    rc64, env64 = run_json(capsys, args + ["--budget-poly-degree", "64"])
-    assert rc4 == rc64 == 0
-    assert env4["report"] == env64["report"]
-    assert env4["config_digest"] != env64["config_digest"]
-
-
 def test_structure_decompose_golden_replay(tmp_path):
     golden = json.loads((DATA / "structure_n53.json").read_text())
     out = str(tmp_path / "replay.json")
@@ -152,7 +133,7 @@ def test_csv_without_csv_form_errors(tmp_path, capsys):
 
 
 SETTINGS = {"--seed", "--tol", "--budget-driver-steps", "--budget-cert-nodes",
-            "--budget-poly-degree", "--budget-vdw-nodes", "--budget-digit-limit"}
+            "--budget-vdw-nodes", "--budget-digit-limit"}
 VERB_SETTINGS = {
     ("gowers", "norm"): {"--tol"},
     ("gowers", "dual"): set(),
@@ -165,7 +146,7 @@ VERB_SETTINGS = {
     ("partition", "energy"): set(),
     ("levelset", "build"): {"--seed"},
     ("structure", "decompose"): {"--seed", "--tol", "--budget-driver-steps",
-                                 "--budget-cert-nodes", "--budget-poly-degree"},
+                                 "--budget-cert-nodes"},
     ("recur", "average"): set(),
     ("recur", "empirical-c"): {"--seed"},
     ("recur", "find-ap"): set(),
@@ -196,14 +177,26 @@ def test_each_verb_accepts_exactly_its_settings():
         assert opts & SETTINGS == VERB_SETTINGS[verb], verb
         assert {"--format", "--out"} <= opts, verb
     settable = sum(len(opts & (SETTINGS | {"--format", "--out"})) for opts in flags.values())
-    assert settable == 55
+    assert settable == 54
+
+
+def test_settings_table_matches_run_config():
+    """One table names every RunConfig field and its flag, so a setting
+    removed from RunConfig cannot linger in the parser, nor the reverse."""
+    assert [f.name for f in dataclasses.fields(gl.RunConfig)] == list(cli._SETTINGS)
+    assert SETTINGS == set(cli._SETTINGS.values())
 
 
 def test_unread_setting_is_a_usage_error(tmp_path, capsys):
     f = write(tmp_path, "f.json", {"n": 7, "set": [0, 1]})
-    with pytest.raises(SystemExit) as exc:
-        main(["gowers", "norm", "--input", f, "--order", "2", "--budget-vdw-nodes", "5"])
-    assert exc.value.code == 2
+    for argv in (
+        ["gowers", "norm", "--input", f, "--order", "2", "--budget-vdw-nodes", "5"],
+        ["structure", "decompose", "--input", f, "--k", "3", "--delta", "0.3",
+         "--budget-poly-degree", "64"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
     capsys.readouterr()
 
 
@@ -214,12 +207,15 @@ def test_unread_setting_is_a_usage_error(tmp_path, capsys):
     ["gowers", "norm", "--input", "F", "--order", "2", "--tol", "-1"],
     ["uap", "verify", "--cert", "CERT", "--tol", "nan"],
     ["gowers", "norm", "--input", "F", "--order", "2", "--tol", "inf"],
-], ids=["digit-limit", "driver-steps", "tol-negative", "tol-nan", "tol-inf"])
+    ["levelset", "build", "--g", "F", "--eps", "0.25", "--seed", "-1"],
+    ["recur", "empirical-c", "--k", "3", "--delta", "0.3", "--n", "7", "--seed", "-1"],
+], ids=["digit-limit", "driver-steps", "tol-negative", "tol-nan", "tol-inf",
+        "seed-levelset", "seed-empirical-c"])
 def test_bad_run_settings_exit_before_any_work(tmp_path, capsys, argv):
-    """A negative budget or a negative or non-finite --tol is rejected up
-    front, not misread by the handler (an infinite digit count, a spent
-    step budget, a failed imaginary-part check, a valid certificate
-    refused)."""
+    """A negative budget or seed, or a negative or non-finite --tol, is
+    rejected up front, not misread by the handler (an infinite digit count,
+    a spent step budget, a failed imaginary-part check, a valid certificate
+    refused, a seed numpy refuses only once a verb draws)."""
     f, cert = write(tmp_path, "f.json", {"n": 7, "set": [0, 2, 3]}), str(tmp_path / "cert.json")
     assert main(["uap", "dual", "--input", f, "--order", "2", "--out", cert]) == 0
     files = {"F": f, "CERT": cert}

@@ -3,12 +3,7 @@ import numpy as np
 import pytest
 
 import gowers_lab as gl
-from gowers_lab.errors import (
-    ApproximationBudgetError,
-    InvalidConfigurationError,
-    MeasurabilityError,
-    ModeError,
-)
+from gowers_lab.errors import InvalidConfigurationError, MeasurabilityError
 from gowers_lab.levelset import GOLDEN_FRACTION, oscillation
 from gowers_lab.partitions import conditional_expectation
 
@@ -119,69 +114,31 @@ def test_approximate_spectral_exact():
     alg = gl.level_set_algebra([gen], 0.35, seed=1)
     f = gl.GroupFunction(n, rng.uniform(0, 1, n).astype(complex))
     fm = conditional_expectation(f, alg.partition)
-    res = gl.approximate_measurable(fm, alg, 0.05, method="spectral")
+    res = gl.approximate_measurable(fm, alg, 0.05)
     assert res.method == "spectral"
     assert res.error <= 1e-9
     assert gl.l2_norm(fm - res.certified.func) <= 1e-9
     gl.verify_certificate(res.certified, 1e-9)
 
 
-def test_approximate_bernstein_single_phase():
+def test_single_phase_generator_takes_the_spectral_route():
+    """One linear-phase generator gets the exact spectral certificate."""
     rng = np.random.default_rng(6)
     n = 53
     gen = phase_generator(rng, n, degree=1)
     alg = gl.level_set_algebra([gen], 0.5, seed=2)
     f = gl.GroupFunction(n, rng.uniform(0, 1, n).astype(complex))
     fm = conditional_expectation(f, alg.partition)
-    res = gl.approximate_measurable(fm, alg, 0.2, method="bernstein")
-    assert res.method == "bernstein"
-    assert res.error <= 0.2
-    assert gl.l2_norm(fm - res.certified.func) == pytest.approx(res.error, abs=1e-12)
+    res = gl.approximate_measurable(fm, alg, 0.2)
+    assert res.method == "spectral"
+    assert res.error <= 1e-9
+    assert gl.l2_norm(fm - res.certified.func) <= 1e-9
     gl.verify_certificate(res.certified, 1e-9)
-
-
-def test_bernstein_degree_budget_binds():
-    """Degrees above the budget are skipped: this input needs degree 32."""
-    rng = np.random.default_rng(6)
-    n = 53
-    gen = phase_generator(rng, n, degree=1)
-    alg = gl.level_set_algebra([gen], 0.5, seed=2)
-    f = gl.GroupFunction(n, rng.uniform(0, 1, n).astype(complex))
-    fm = conditional_expectation(f, alg.partition)
-    full = gl.approximate_measurable(fm, alg, 0.05, method="bernstein", degree_budget=64)
-    assert full.method == "bernstein" and full.error <= 0.05
-    assert gl.approximate_measurable(fm, alg, 0.05, method="bernstein").error == full.error
-    assert gl.approximate_measurable(fm, alg, 0.05, method="bernstein",
-                                     degree_budget=32).error == full.error
-    for budget in (4, 16, 31):
-        with pytest.raises(ApproximationBudgetError):
-            gl.approximate_measurable(fm, alg, 0.05, method="bernstein", degree_budget=budget)
-    for budget in (3, 0, -8):
-        with pytest.raises(InvalidConfigurationError):
-            gl.approximate_measurable(fm, alg, 0.05, degree_budget=budget)
-
-
-def test_bernstein_infeasible_raises_budget_error():
-    rng = np.random.default_rng(7)
-    n = 17
-    g1 = phase_generator(rng, n)
-    g2 = phase_generator(rng, n, degree=2)
-    alg = gl.level_set_algebra([g1, g2], 0.4, seed=0)
-    f = conditional_expectation(
-        gl.GroupFunction(n, rng.uniform(0, 1, n).astype(complex)), alg.partition
-    )
-    with pytest.raises(ApproximationBudgetError):
-        gl.approximate_measurable(f, alg, 0.1, method="bernstein")
-    # auto falls back to the spectral route instead
-    res = gl.approximate_measurable(f, alg, 0.1, method="auto")
-    assert res.error <= 0.1
 
 
 def test_approximate_mode_and_delta_validation():
     alg = gl.trivial_algebra(7)
     f = gl.GroupFunction.constant(7, 0.5)
-    with pytest.raises(ModeError):
-        gl.approximate_measurable(f, alg, 0.1, method="magic")
     with pytest.raises(InvalidConfigurationError):
         gl.approximate_measurable(f, alg, 0.0)
 
@@ -194,5 +151,5 @@ def test_result_order_covers_algebra():
     f = conditional_expectation(
         gl.GroupFunction(n, rng.uniform(0, 1, n).astype(complex)), alg.partition
     )
-    res = gl.approximate_measurable(f, alg, 0.05, method="spectral")
+    res = gl.approximate_measurable(f, alg, 0.05)
     assert res.certified.order >= alg.order

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import gowers_lab as gl
 from gowers_lab.gowers import _shift_table
+from gowers_lab.uap import _phase_coeffs
 from gowers_lab.serialize import canonical_dumps, certificate_to_json, function_to_json
 from gowers_lab.errors import (
     BoundednessError,
@@ -634,36 +635,32 @@ def test_verify_rejects_nan(case):
     assert err.path == ("root",)
 
 
-def test_phase_terms_only_on_phase_sums_and_bound_preserving_wrappers():
-    """The phase-sum constructors record their terms, raise_bound and
-    cert_promote keep them (F is unchanged), and every other operation,
-    certify_constant and cert_zero leave them None."""
-    n = 7
-    for ps in (
-        gl.certify_phase_sum(n, [(0.4, (0, 1)), (0.3j, (0, 2, 3))]),
-        gl.certify_phase_sum(n, [(0.5, (2,))]),
-        gl.certify_quasiperiodic(gl.quasiperiodic(n, [(1.0, (0, 1, 1)), (-1.0, (3, 0, 2))])),
-    ):
-        assert ps.phase_terms
-        assert gl.raise_bound(ps, ps.bound + 1.0).phase_terms is ps.phase_terms
-        assert gl.cert_promote(ps, ps.order + 1).phase_terms is ps.phase_terms
-        other = gl.certify_phase_sum(n, [(0.2, (1,))], order=ps.order)
-        for out in (
-            gl.cert_scale(ps, 0.5j),
-            gl.cert_scale(ps, 0),
-            gl.cert_add(ps, other, 0.25),
-            gl.cert_sum(ps, other),
-            gl.cert_multiply(ps, other),
-            gl.cert_shift(ps, 3),
-            gl.cert_conj(ps),
-        ):
-            assert out.phase_terms is None
-            assert_certifies(out)
-    assert gl.certify_constant(n, 0.3 - 0.2j).phase_terms is None
-    assert gl.certify_constant(n, 0.0).phase_terms is None
-    for order in (0, 1, 2):
-        assert gl.cert_zero(n, order).phase_terms is None
-    assert gl.certify_phase_sum(n, [(1e-3, (0, 1))], chop=0.1).phase_terms is None
+def _phase_coeffs_loop(n, terms):
+    """Reference for the degree-1 coefficients: one poly_shift_difference
+    call per entry, c_m e((P_m(x+i) - P_m(x))/n)."""
+    coeffs = np.empty((n, len(terms)), dtype=np.complex128)
+    for m, (c, p) in enumerate(terms):
+        for i in range(n):
+            coeffs[i, m] = c * np.exp(2j * np.pi * gl.poly_shift_difference(p, i, n)[0] / n)
+    return coeffs
+
+
+def test_linear_phase_coeffs_match_the_loop_bitwise():
+    """The degree-1 table lookup reproduces the per-entry loop bit for bit,
+    for constant, linear and unreduced polynomials and for Python complex,
+    numpy complex and real coefficients."""
+    rng = np.random.default_rng(23)
+    for _ in range(30):
+        n = int(rng.integers(5, 402))
+        terms = []
+        for m in range(int(rng.integers(1, 7))):
+            c = complex(*rng.normal(size=2))
+            c = (c / abs(c), np.complex128(c), float(c.real))[m % 3]
+            a0, a1 = (int(v) for v in rng.integers(-2 * n, 2 * n, size=2))
+            terms.append((c, (a0,) if m == 1 else (a0, a1)))
+        terms.append((1j, (0, 1)))
+        got = _phase_coeffs(n, terms, 1)
+        assert got.tobytes() == _phase_coeffs_loop(n, terms).tobytes(), n
 
 
 # the sources of each _promote_one case: order 0 (nonzero, and zero with a
