@@ -3,8 +3,9 @@
 One executable, seven command groups (gowers, uap, partition, levelset,
 structure, recur, vdw).  Every run prints a single JSON envelope
 {seed, version, config_digest, report} in canonical form, so identical
-inputs and seed give byte-identical output.  Each verb accepts only the
-run settings (seed, tol, budgets) its handler reads.  Domain failures and
+inputs and seed give byte-identical output; --format csv prints a verb's
+CSV form instead, where it has one.  Each verb accepts only the run
+settings (seed, tol, budgets) its handler reads.  Domain failures and
 bad settings exit 1 with a structured error object; argparse usage
 failures, an unknown flag among them, exit 2.
 """
@@ -17,16 +18,12 @@ import math
 import operator
 import sys
 from dataclasses import asdict
+from functools import reduce
 
 from .config import VERSION, RunConfig
 from .cyclic import GroupFunction
-from .errors import GowersLabError, InvalidConfigurationError, ModeError
-from .gowers import (
-    dual_function,
-    fourier_coefficients,
-    gowers_norm,
-    von_neumann_check,
-)
+from .errors import GowersLabError, InvalidConfigurationError
+from .gowers import dual_function, gowers_norm, von_neumann_check
 from .levelset import _boundary_mass, BOUNDARY_SIGMA, level_set_algebra, oscillation
 from .partitions import conditional_expectation, energy, join
 from .recurrence import (
@@ -49,7 +46,13 @@ from .serialize import (
     trace_to_csv,
 )
 from .structure import decompose, verify_decomposition
-from .uap import cert_zero, CertifiedFunction, certify_dual, certify_phase_sum, duality_audit, verify_certificate
+from .uap import (
+    CertifiedFunction,
+    certify_dual,
+    certify_spectrum,
+    duality_audit,
+    verify_certificate,
+)
 from .vdw import bound_recursion, find_mono_ap, vdw_number
 
 
@@ -67,16 +70,10 @@ def _load_function(path: str) -> GroupFunction:
 
 
 def _certify_input(obj: dict) -> CertifiedFunction:
-    """Certificate JSON passes through; a bare function is certified
-    exactly through its Fourier expansion (order 1, Wiener-norm bound)."""
+    """Certificate JSON passes through; a bare function gets its spectral certificate."""
     if "order" in obj and "M" in obj:
         return certificate_from_json(obj)
-    f = function_from_json(obj)
-    fhat = fourier_coefficients(f)
-    terms = [(fhat[t], (0, t)) for t in range(f.n) if abs(fhat[t]) > 1e-13]
-    if not terms:
-        return cert_zero(f.n, 1)
-    return certify_phase_sum(f.n, terms)
+    return certify_spectrum(function_from_json(obj))
 
 
 _ARITH_OPS = {
@@ -122,66 +119,65 @@ def _arith(node, names: dict):
 
 
 # ---------------------------------------------------------------------------
-# handlers; each returns (report_dict, csv_text_or_None)
+# handlers, one per verb; each returns its report, or its CSV text under --format csv
 
 
-def _run_gowers(args, cfg):
-    if args.verb == "norm":
-        f = _load_function(args.input)
-        gn = gowers_norm(f, args.order, tol=cfg.tol)
-        if gn.value is None:
-            return {"order": gn.order, "value": [gn.u0_value.real, gn.u0_value.imag]}, None
-        return {"order": gn.order, "value": gn.value}, None
-    if args.verb == "dual":
-        f = _load_function(args.input)
-        return function_to_json(dual_function(f, args.order)), None
-    if args.verb == "vnn":
-        fs = [_load_function(p) for p in args.inputs]
-        rep = von_neumann_check(fs, args.lambdas, tol=cfg.tol)
-        return {
-            "value": rep.lhs,
-            "witnesses": list(rep.norms),
-            "bound": rep.rhs,
-            "holds": rep.holds,
-        }, None
-    raise ModeError(f"unknown gowers verb {args.verb!r}")
+def _gowers_norm(args, cfg):
+    gn = gowers_norm(_load_function(args.input), args.order, tol=cfg.tol)
+    if gn.value is None:
+        return {"order": gn.order, "value": [gn.u0_value.real, gn.u0_value.imag]}
+    return {"order": gn.order, "value": gn.value}
 
 
-def _run_uap(args, cfg):
-    if args.verb == "verify":
-        cf = certificate_from_json(_load(args.cert))
-        rep = verify_certificate(cf, tol=cfg.tol)
-        return {**asdict(rep), "ok": True}, None
-    if args.verb == "dual":
-        f = _load_function(args.input)
-        cf = certify_dual(f, args.order, node_budget=cfg.cert_nodes, tol=cfg.tol)
-        return certificate_to_json(cf), None
-    if args.verb == "audit":
-        f = _load_function(args.input)
-        cf = certificate_from_json(_load(args.cert))
-        return asdict(duality_audit(f, cf, tol=cfg.tol)), None
-    raise ModeError(f"unknown uap verb {args.verb!r}")
+def _gowers_dual(args, cfg):
+    return function_to_json(dual_function(_load_function(args.input), args.order))
 
 
-def _run_partition(args, cfg):
-    if args.verb == "join":
-        parts = [partition_from_json(_load(p)) for p in args.inputs]
-        out = parts[0]
-        for p in parts[1:]:
-            out = join(out, p)
-        return partition_to_json(out), None
-    if args.verb == "condexp":
-        f = _load_function(args.input)
-        B = partition_from_json(_load(args.partition))
-        return function_to_json(conditional_expectation(f, B)), None
-    if args.verb == "energy":
-        fs = [_load_function(p) for p in args.inputs]
-        B = partition_from_json(_load(args.partition))
-        return {"value": energy(fs, B)}, None
-    raise ModeError(f"unknown partition verb {args.verb!r}")
+def _gowers_vnn(args, cfg):
+    fs = [_load_function(p) for p in args.inputs]
+    rep = von_neumann_check(fs, args.lambdas, tol=cfg.tol)
+    return {
+        "value": rep.lhs,
+        "witnesses": list(rep.norms),
+        "bound": rep.rhs,
+        "holds": rep.holds,
+    }
 
 
-def _run_levelset(args, cfg):
+def _uap_verify(args, cfg):
+    cf = certificate_from_json(_load(args.cert))
+    return {**asdict(verify_certificate(cf, tol=cfg.tol)), "ok": True}
+
+
+def _uap_dual(args, cfg):
+    f = _load_function(args.input)
+    cf = certify_dual(f, args.order, node_budget=cfg.cert_nodes, tol=cfg.tol)
+    return certificate_to_json(cf)
+
+
+def _uap_audit(args, cfg):
+    f = _load_function(args.input)
+    cf = certificate_from_json(_load(args.cert))
+    return asdict(duality_audit(f, cf, tol=cfg.tol))
+
+
+def _partition_join(args, cfg):
+    return partition_to_json(reduce(join, [partition_from_json(_load(p)) for p in args.inputs]))
+
+
+def _partition_condexp(args, cfg):
+    f = _load_function(args.input)
+    B = partition_from_json(_load(args.partition))
+    return function_to_json(conditional_expectation(f, B))
+
+
+def _partition_energy(args, cfg):
+    fs = [_load_function(p) for p in args.inputs]
+    B = partition_from_json(_load(args.partition))
+    return {"value": energy(fs, B)}
+
+
+def _levelset_build(args, cfg):
     certs = [_certify_input(_load(p)) for p in args.g]
     algebra = level_set_algebra(certs, args.eps, seed=cfg.seed)
     alpha = algebra.generators[0].alpha
@@ -200,10 +196,10 @@ def _run_levelset(args, cfg):
             "alpha": alpha,
             "complexity": algebra.complexity,
         },
-    }, None
+    }
 
 
-def _run_structure(args, cfg):
+def _structure_decompose(args, cfg):
     f = _load_function(args.input)
     thr = _threshold_value(args.threshold, args.k, args.delta)
     dec = decompose(
@@ -216,8 +212,14 @@ def _run_structure(args, cfg):
         node_budget=cfg.cert_nodes,
         tol=cfg.tol,
     )
-    checks = verify_decomposition(f, dec, tol=cfg.tol)
-    report = {
+    checks = asdict(verify_decomposition(f, dec, tol=cfg.tol))
+    csv_text = trace_to_csv(dec.trace)
+    if args.trace_csv:
+        with open(args.trace_csv, "w") as fh:
+            fh.write(csv_text)
+    if args.format == "csv":
+        return csv_text
+    return {
         "k": dec.k,
         "delta": dec.delta,
         "threshold": dec.threshold,
@@ -229,81 +231,54 @@ def _run_structure(args, cfg):
         "certificate": certificate_to_json(dec.certified),
         "partition": partition_to_json(dec.algebra.partition),
         "trace": [list(entry.as_row()) for entry in dec.trace],
-        "checks": {
-            "split_error": checks.split_error,
-            "approx_l2": checks.approx_l2,
-            "approx_cap": checks.approx_cap,
-            "mean_structured": checks.mean_structured,
-            "max_atom_pairing": checks.max_atom_pairing,
-            "certificate_nodes": checks.certificate_nodes,
-            "holds": checks.holds,
-        },
+        # norm_fU and threshold are reported once, above
+        "checks": {k: v for k, v in checks.items() if k not in ("norm_fU", "threshold")},
     }
-    csv_text = trace_to_csv(dec.trace)
-    if args.trace_csv:
-        with open(args.trace_csv, "w") as fh:
-            fh.write(csv_text)
-    return report, csv_text
 
 
-def _run_recur(args, cfg):
-    if args.verb == "average":
-        f = _load_function(args.input)
-        rep = recurrence_average(f, args.k, mu=args.mu)
-        return {
-            "k": rep.k,
-            "n": rep.n,
-            "average": rep.average,
-            "mu": rep.mu,
-            "r_range": list(rep.r_range),
-        }, None
-    if args.verb == "empirical-c":
-        rows = [
-            empirical_c(args.k, args.delta, n, mode=args.mode,
-                        samples=args.samples, seed=cfg.seed)
-            for n in args.n
-        ]
-        return [asdict(r) for r in rows], empirical_c_to_csv(rows)
-    if args.verb == "find-ap":
-        obj = _load(args.input)
-        ap = find_k_ap_in_set(obj["set"], args.k)
-        return {"k": args.k, "ap": list(ap) if ap is not None else None}, None
-    if args.verb == "net":
-        vecs = [_load_function(p) for p in args.inputs]
-        return asdict(greedy_net(vecs, args.theta)), None
-    if args.verb == "sample":
-        cols = [_load_function(p) for p in args.inputs]
-        samp = finite_rank_sample(cols, args.weights, args.d, seed=cfg.seed,
-                                  trial=args.trial, tol=cfg.tol)
-        return {
-            "error": samp.error,
-            "indices": list(samp.indices),
-            "approximant": function_to_json(GroupFunction(cols[0].n, samp.approximant)),
-        }, None
-    raise ModeError(f"unknown recur verb {args.verb!r}")
+def _recur_average(args, cfg):
+    return asdict(recurrence_average(_load_function(args.input), args.k, mu=args.mu))
 
 
-def _run_vdw(args, cfg):
-    if args.verb == "number":
-        return asdict(vdw_number(args.k, args.m, n_max=args.max, max_nodes=cfg.vdw_nodes)), None
-    if args.verb == "bound":
-        return asdict(bound_recursion(args.k, args.m, digit_limit=cfg.digit_limit)), None
-    if args.verb == "check":
-        col = colouring_from_json(_load(args.colouring))
-        ap = find_mono_ap(col, args.k)
-        return {"k": args.k, "mono_ap": list(ap) if ap is not None else None}, None
-    raise ModeError(f"unknown vdw verb {args.verb!r}")
+def _recur_empirical_c(args, cfg):
+    rows = [
+        empirical_c(args.k, args.delta, n, mode=args.mode, samples=args.samples, seed=cfg.seed)
+        for n in args.n
+    ]
+    return empirical_c_to_csv(rows) if args.format == "csv" else [asdict(r) for r in rows]
 
 
-_HANDLERS = {
-    "gowers": _run_gowers,
-    "uap": _run_uap,
-    "partition": _run_partition,
-    "levelset": _run_levelset,
-    "structure": _run_structure,
-    "recur": _run_recur,
-    "vdw": _run_vdw,
-}
+def _recur_find_ap(args, cfg):
+    ap = find_k_ap_in_set(_load(args.input)["set"], args.k)
+    return {"k": args.k, "ap": list(ap) if ap is not None else None}
+
+
+def _recur_net(args, cfg):
+    return asdict(greedy_net([_load_function(p) for p in args.inputs], args.theta))
+
+
+def _recur_sample(args, cfg):
+    cols = [_load_function(p) for p in args.inputs]
+    samp = finite_rank_sample(cols, args.weights, args.d, seed=cfg.seed,
+                              trial=args.trial, tol=cfg.tol)
+    return {
+        "error": samp.error,
+        "indices": list(samp.indices),
+        "approximant": function_to_json(GroupFunction(cols[0].n, samp.approximant)),
+    }
+
+
+def _vdw_number(args, cfg):
+    return asdict(vdw_number(args.k, args.m, n_max=args.max, max_nodes=cfg.vdw_nodes))
+
+
+def _vdw_bound(args, cfg):
+    return asdict(bound_recursion(args.k, args.m, digit_limit=cfg.digit_limit))
+
+
+def _vdw_check(args, cfg):
+    ap = find_mono_ap(colouring_from_json(_load(args.colouring)), args.k)
+    return {"k": args.k, "mono_ap": list(ap) if ap is not None else None}
 
 
 # ---------------------------------------------------------------------------
@@ -326,11 +301,13 @@ def build_parser() -> argparse.ArgumentParser:
     groups = top.add_subparsers(dest="group", required=True)
     defaults = RunConfig()
 
-    def leaf(group_sub, name, *settings):
-        """A verb that accepts exactly the run settings its handler reads."""
+    def leaf(group_sub, name, run, *settings, csv=False):
+        """A verb bound to its handler, accepting exactly the run settings
+        the handler reads, and --format only when it has a CSV form."""
         p = group_sub.add_parser(name)
-        p.set_defaults(verb=name)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.set_defaults(run=run)
+        if csv:
+            p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None, help="write output here instead of stdout")
         for field in settings:
             default = getattr(defaults, field)
@@ -338,45 +315,46 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     g = groups.add_parser("gowers").add_subparsers(dest="verb", required=True)
-    p = leaf(g, "norm", "tol")
+    p = leaf(g, "norm", _gowers_norm, "tol")
     p.add_argument("--input", required=True)
     p.add_argument("--order", type=int, required=True)
-    p = leaf(g, "dual")
+    p = leaf(g, "dual", _gowers_dual)
     p.add_argument("--input", required=True)
     p.add_argument("--order", type=int, required=True)
-    p = leaf(g, "vnn", "tol")
+    p = leaf(g, "vnn", _gowers_vnn, "tol")
     p.add_argument("--inputs", nargs="+", required=True)
     p.add_argument("--lambdas", nargs="+", type=int, required=True)
 
     u = groups.add_parser("uap").add_subparsers(dest="verb", required=True)
-    p = leaf(u, "verify", "tol")
+    p = leaf(u, "verify", _uap_verify, "tol")
     p.add_argument("--cert", required=True)
-    p = leaf(u, "dual", "cert_nodes", "tol")
+    p = leaf(u, "dual", _uap_dual, "cert_nodes", "tol")
     p.add_argument("--input", required=True)
     p.add_argument("--order", type=int, required=True)
-    p = leaf(u, "audit", "tol")
+    p = leaf(u, "audit", _uap_audit, "tol")
     p.add_argument("--input", required=True)
     p.add_argument("--cert", required=True)
 
     q = groups.add_parser("partition").add_subparsers(dest="verb", required=True)
-    p = leaf(q, "join")
+    p = leaf(q, "join", _partition_join)
     p.add_argument("--inputs", nargs="+", required=True)
-    p = leaf(q, "condexp")
+    p = leaf(q, "condexp", _partition_condexp)
     p.add_argument("--input", required=True)
     p.add_argument("--partition", required=True)
-    p = leaf(q, "energy")
+    p = leaf(q, "energy", _partition_energy)
     p.add_argument("--inputs", nargs="+", required=True)
     p.add_argument("--partition", required=True)
 
     l = groups.add_parser("levelset").add_subparsers(dest="verb", required=True)
-    p = leaf(l, "build", "seed")
+    p = leaf(l, "build", _levelset_build, "seed")
     p.add_argument("--g", action="append", required=True,
                    help="generator file (function or certificate JSON); repeatable")
     p.add_argument("--eps", action="append", type=float, required=True,
                    help="scale; one shared value or one per generator")
 
     s = groups.add_parser("structure").add_subparsers(dest="verb", required=True)
-    p = leaf(s, "decompose", "seed", "tol", "driver_steps", "cert_nodes")
+    p = leaf(s, "decompose", _structure_decompose, "seed", "tol", "driver_steps", "cert_nodes",
+             csv=True)
     p.add_argument("--input", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--delta", type=float, required=True)
@@ -385,50 +363,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace-csv", default=None, help="also write the energy trace here")
 
     r = groups.add_parser("recur").add_subparsers(dest="verb", required=True)
-    p = leaf(r, "average")
+    p = leaf(r, "average", _recur_average)
     p.add_argument("--input", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--mu", type=int, default=1)
-    p = leaf(r, "empirical-c", "seed")
+    p = leaf(r, "empirical-c", _recur_empirical_c, "seed", csv=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--n", action="append", type=int, required=True,
                    help="group size; repeatable for a sweep")
     p.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
     p.add_argument("--samples", type=int, default=1000)
-    p = leaf(r, "find-ap")
+    p = leaf(r, "find-ap", _recur_find_ap)
     p.add_argument("--input", required=True, help='member set JSON {"n","set"}')
     p.add_argument("--k", type=int, required=True)
-    p = leaf(r, "net")
+    p = leaf(r, "net", _recur_net)
     p.add_argument("--inputs", nargs="+", required=True)
     p.add_argument("--theta", type=float, required=True)
-    p = leaf(r, "sample", "seed", "tol")
+    p = leaf(r, "sample", _recur_sample, "seed", "tol")
     p.add_argument("--inputs", nargs="+", required=True)
     p.add_argument("--weights", nargs="+", type=float, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--trial", type=int, default=0)
 
     v = groups.add_parser("vdw").add_subparsers(dest="verb", required=True)
-    p = leaf(v, "number", "vdw_nodes")
+    p = leaf(v, "number", _vdw_number, "vdw_nodes")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--max", type=int, default=10000)
-    p = leaf(v, "bound", "digit_limit")
+    p = leaf(v, "bound", _vdw_bound, "digit_limit")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p = leaf(v, "check")
+    p = leaf(v, "check", _vdw_check)
     p.add_argument("--colouring", required=True)
     p.add_argument("--k", type=int, required=True)
 
     return top
-
-
-def _emit(text: str, out_path):
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _check_settings(cfg: RunConfig):
@@ -447,19 +417,20 @@ def main(argv=None) -> int:
     cfg = RunConfig(**{f: v for f, v in vars(args).items() if f in _SETTINGS})
     try:
         _check_settings(cfg)
-        report, csv_text = _HANDLERS[args.group](args, cfg)
-        if args.format == "csv":
-            if csv_text is None:
-                raise ModeError(f"no csv form for {args.group} {args.verb}")
-            _emit(csv_text, args.out)
-            return 0
-        envelope = {
-            "seed": cfg.seed,
-            "version": VERSION,
-            "config_digest": cfg.digest(),
-            "report": report,
-        }
-        _emit(canonical_dumps(envelope) + "\n", args.out)
+        report = args.run(args, cfg)
+        if not isinstance(report, str):  # a CSV form is written as it is
+            envelope = {
+                "seed": cfg.seed,
+                "version": VERSION,
+                "config_digest": cfg.digest(),
+                "report": report,
+            }
+            report = canonical_dumps(envelope) + "\n"
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(report)
+        else:
+            sys.stdout.write(report)
         return 0
     except (GowersLabError, OSError, KeyError, ValueError) as exc:
         err = {

@@ -30,14 +30,13 @@ from .errors import (
     MeasurabilityError,
     NumericalInconsistencyError,
 )
-from .gowers import fourier_coefficients
 from .partitions import Partition, conditional_expectation, join
 from .uap import (
     CertifiedFunction,
     cert_promote,
     cert_zero,
     certify_constant,
-    certify_phase_sum,
+    certify_spectrum,
 )
 
 GOLDEN_FRACTION = 0.6180339887498949
@@ -226,13 +225,7 @@ def approximate_measurable(
         err = l2_norm(f - const.func)
         return ApproximationResult(const, err, "constant")
 
-    spectrum = fourier_coefficients(f)
-    terms = [
-        (complex(spectrum[k]), (0, k) if k else (0,))
-        for k in range(n)
-        if abs(spectrum[k]) > 1e-13
-    ]
-    cf = certify_phase_sum(n, terms)
+    cf = certify_spectrum(f)
     cf = cert_promote(cf, max(target_order, cf.cert.order))
     err = l2_norm(f - cf.func)
     if err > delta:

@@ -33,8 +33,6 @@ class RecurrenceReport:
     k: int
     n: int
     average: float
-    min_over_family: float
-    witness: tuple | None
     r_range: tuple
     mu: int
 
@@ -51,10 +49,7 @@ def recurrence_average(
         raise EmptyDomainError("empty r range")
     avg = _progression_mean([f.values] * k, [mu * j % n for j in range(k)], rs)
     value = float(avg.real) if abs(avg.imag) < 1e-12 else float(abs(avg))
-    return RecurrenceReport(
-        k=k, n=n, average=value, min_over_family=value, witness=None,
-        r_range=(rs[0], rs[-1]), mu=mu,
-    )
+    return RecurrenceReport(k=k, n=n, average=value, r_range=(rs[0], rs[-1]), mu=mu)
 
 
 def count_ap_instances(members, n: int, k: int) -> int:

@@ -38,6 +38,16 @@ def canonical_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_native)
 
 
+def _fields(obj: dict, what: str, *keys):
+    """obj[key] for each key; a missing key is named with the form expected."""
+    missing = [f'"{k}"' for k in keys if k not in obj]
+    if missing:
+        form = ", ".join(f'"{k}"' for k in keys)
+        raise InvalidConfigurationError(
+            f"{what} JSON lacks {', '.join(missing)}; expected {{{form}}}")
+    return [obj[k] for k in keys]
+
+
 # ---------------------------------------------------------------------------
 # functions
 
@@ -50,26 +60,27 @@ def function_from_json(obj: dict) -> GroupFunction:
     """Accepts the dense {"n","re","im"} form, the indicator shorthand
     {"n","set"}, and the quasiperiodic shorthand {"n","terms"}."""
     if "re" in obj:
-        n = int(obj["n"])
-        re = np.asarray(obj["re"], dtype=float)
+        n, re = _fields(obj, "function", "n", "re")
+        n, re = int(n), np.asarray(re, dtype=float)
         im = np.asarray(obj.get("im", np.zeros(n)), dtype=float)
         if re.shape != (n,) or im.shape != (n,):
             raise InvalidConfigurationError("re/im length must equal n")
         return GroupFunction(n, re + 1j * im)
     if "set" in obj:
-        return GroupFunction.indicator(int(obj["n"]), obj["set"])
+        n, members = _fields(obj, "function", "n", "set")
+        return GroupFunction.indicator(int(n), members)
     if "terms" in obj:
         return phase_sum_from_json(obj).func
     raise InvalidConfigurationError("unrecognized function JSON shape")
 
 
 def phase_sum_from_json(obj: dict) -> PhaseSum:
-    n = int(obj["n"])
+    n, raw = _fields(obj, "function", "n", "terms")
     terms = []
-    for t in obj["terms"]:
-        c = t["c"]
-        terms.append((complex(c[0], c[1]), tuple(int(a) for a in t["poly"])))
-    return quasiperiodic(n, terms)
+    for t in raw:
+        c, poly = _fields(t, "phase term", "c", "poly")
+        terms.append((complex(c[0], c[1]), tuple(int(a) for a in poly)))
+    return quasiperiodic(int(n), terms)
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +92,8 @@ def partition_to_json(p: Partition) -> dict:
 
 
 def partition_from_json(obj: dict) -> Partition:
-    return Partition(int(obj["n"]), np.asarray(obj["labels"], dtype=np.int64))
+    n, labels = _fields(obj, "partition", "n", "labels")
+    return Partition(int(n), np.asarray(labels, dtype=np.int64))
 
 
 def colouring_to_json(c: Colouring) -> dict:
@@ -89,7 +101,8 @@ def colouring_to_json(c: Colouring) -> dict:
 
 
 def colouring_from_json(obj: dict) -> Colouring:
-    return Colouring(int(obj["n"]), int(obj["m"]), tuple(int(v) for v in obj["colours"]))
+    n, m, colours = _fields(obj, "colouring", "n", "m", "colours")
+    return Colouring(int(n), int(m), tuple(int(v) for v in colours))
 
 
 # ---------------------------------------------------------------------------

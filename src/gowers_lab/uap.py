@@ -46,7 +46,7 @@ from .errors import (
     ResourceLimitError,
     UnsupportedOrderError,
 )
-from .gowers import _BLOCK, _shift_table, gowers_norm
+from .gowers import _BLOCK, _shift_table, fourier_coefficients, gowers_norm
 from .cyclic import inner_product, shift
 
 
@@ -98,8 +98,7 @@ def certify_constant(n: int, value: complex, bound: float | None = None) -> Cert
 
 def cert_zero(n: int, order: int) -> CertifiedFunction:
     """The zero function certified at any order with bound 0."""
-    cf = certify_constant(n, 0.0, bound=0.0)
-    return cert_promote(cf, order) if order > 0 else cf
+    return cert_promote(certify_constant(n, 0.0, bound=0.0), order)
 
 
 # ---------------------------------------------------------------------------
@@ -507,9 +506,7 @@ def _phase_coeffs(n: int, terms, degree: int):
     )
 
 
-def certify_phase_sum(
-    n: int, terms, order: int | None = None, chop: float = 0.0
-) -> CertifiedFunction:
+def certify_phase_sum(n: int, terms, order: int | None = None) -> CertifiedFunction:
     """Certificate for F = sum_m gamma_m e(P_m(x)/n) with bound sum |gamma_m|.
 
     Columns are the phases e(P_m/n), the weight of a term is its share of
@@ -522,7 +519,7 @@ def certify_phase_sum(
     for g, p in terms:
         key = poly_reduce(p, n)
         merged[key] = merged.get(key, 0.0 + 0.0j) + complex(g)
-    kept = [(g, p) for p, g in merged.items() if abs(g) > chop]
+    kept = [(g, p) for p, g in merged.items() if abs(g) > 0]
     if not kept:
         return cert_zero(n, order or 0)
     degree = max(poly_degree(p, n) for _, p in kept)
@@ -550,6 +547,15 @@ def certify_phase_sum(
             f"terms have degree {out.cert.order}, cannot certify at order {order}"
         )
     return out
+
+
+def certify_spectrum(f: GroupFunction) -> CertifiedFunction:
+    """Certificate of f's Fourier expansion, sum of hat f(xi) e(xi x/n) over the
+    |hat f(xi)| > 1e-13: order 1 (0 if only the mean is left), bound its l1 mass."""
+    fhat = fourier_coefficients(f)
+    return certify_phase_sum(
+        f.n, [(fhat[xi], (0, xi)) for xi in range(f.n) if abs(fhat[xi]) > 1e-13]
+    )
 
 
 def certify_quasiperiodic(ps: PhaseSum) -> CertifiedFunction:

@@ -120,12 +120,13 @@ def test_usage_error_exits_two(capsys):
 
 
 def test_csv_without_csv_form_errors(tmp_path, capsys):
+    """--format exists only on the verbs with a CSV form; elsewhere it is
+    a usage error."""
     f = write(tmp_path, "f.json", {"n": 7, "set": [0, 1]})
-    rc, err = run_json(
-        capsys, ["gowers", "norm", "--input", f, "--order", "2", "--format", "csv"]
-    )
-    assert rc == 1
-    assert err["error"]["type"] == "ModeError"
+    with pytest.raises(SystemExit) as exc:
+        main(["gowers", "norm", "--input", f, "--order", "2", "--format", "csv"])
+    assert exc.value.code == 2
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------
@@ -170,14 +171,18 @@ def leaf_flags():
     }
 
 
+CSV_VERBS = {("structure", "decompose"), ("recur", "empirical-c")}
+
+
 def test_each_verb_accepts_exactly_its_settings():
     flags = leaf_flags()
     assert sorted(flags) == sorted(VERB_SETTINGS)
     for verb, opts in flags.items():
         assert opts & SETTINGS == VERB_SETTINGS[verb], verb
-        assert {"--format", "--out"} <= opts, verb
+        assert "--out" in opts, verb
+        assert ("--format" in opts) == (verb in CSV_VERBS), verb
     settable = sum(len(opts & (SETTINGS | {"--format", "--out"})) for opts in flags.values())
-    assert settable == 54
+    assert settable == 37
 
 
 def test_settings_table_matches_run_config():
@@ -379,6 +384,16 @@ def test_levelset_build(tmp_path, capsys):
     part = gl.partition_from_json(env["report"]["partition"])
     assert part.n == 13
 
+    # a certificate envelope passes through as its own generator
+    cert = str(tmp_path / "cert.json")
+    assert main(["uap", "dual", "--input", f, "--order", "2", "--out", cert]) == 0
+    rc, env = run_json(capsys, ["levelset", "build", "--g", cert, "--eps", "0.25"])
+    assert rc == 0
+    dual = gl.certify_dual(gl.function_from_json(json.loads(Path(f).read_text())), 2)
+    want = gl.level_set_algebra([dual], 0.25)
+    assert env["report"]["partition"] == gl.partition_to_json(want.partition)
+    assert env["report"]["diagnostics"]["complexity"] == want.complexity
+
 
 # ---------------------------------------------------------------------------
 # structure group
@@ -539,11 +554,27 @@ def test_vdw_node_budget_binds(capsys):
     ["recur", "empirical-c", "--k", "3", "--delta", "0.5", "--n", "-2"],
     ["recur", "empirical-c", "--k", "0", "--delta", "0.5", "--n", "5"],
     ["vdw", "number", "--k", "3", "--m", "2", "--max", "-1"],
+    # JSON inputs without a required field: the message names it and the form
+    ["vdw", "check", "--colouring", "NO_N_M", "--k", "3"],
+    ["partition", "join", "--inputs", "NO_LABELS", "NO_LABELS"],
+    ["gowers", "norm", "--input", "DENSE_NO_N", "--order", "2"],
+    ["gowers", "norm", "--input", "TERM_NO_POLY", "--order", "2"],
 ])
-def test_bad_search_inputs_get_error_envelope(capsys, argv):
-    rc, err = run_json(capsys, argv)
+def test_bad_search_inputs_get_error_envelope(tmp_path, capsys, argv):
+    files = {
+        "NO_N_M": ({"colours": [1, 1, 2, 2, 1, 1, 2, 2]},
+                   '"n", "m"; expected {"n", "m", "colours"}'),
+        "NO_LABELS": ({"n": 7}, '"labels"; expected {"n", "labels"}'),
+        "DENSE_NO_N": ({"re": [1.0] * 7}, '"n"; expected {"n", "re"}'),
+        "TERM_NO_POLY": ({"n": 7, "terms": [{"c": [1.0, 0.0]}]}, '"poly"; expected {"c", "poly"}'),
+    }
+    paths = {k: write(tmp_path, f"{k}.json", obj) for k, (obj, _) in files.items()}
+    rc, err = run_json(capsys, [paths.get(a, a) for a in argv])
     assert rc == 1
     assert err["error"]["type"] == "InvalidConfigurationError"
+    for key, (_, named) in files.items():
+        if key in argv:
+            assert named in err["error"]["message"]
 
 
 def test_vdw_bound(capsys):
@@ -561,24 +592,30 @@ def test_vdw_bound(capsys):
 
 
 def test_certificate_round_trip_order_one():
-    cf = gl.certify_phase_sum(11, [(0.5, (0, 1)), (0.25j, (3,))])
-    obj = gl.certificate_to_json(cf)
-    back = gl.certificate_from_json(json.loads(json.dumps(obj)))
-    assert np.allclose(back.func.values, cf.func.values)
-    assert back.cert.bound == cf.cert.bound
-    gl.verify_certificate(back)
-    assert gl.canonical_dumps(gl.certificate_to_json(back)) == gl.canonical_dumps(obj)
+    """Orders 1 and 0 (a constant phase sum) round-trip to the same bytes."""
+    for terms in ([(0.5, (0, 1)), (0.25j, (3,))], [(0.3 - 0.4j, (0,))]):
+        cf = gl.certify_phase_sum(11, terms)
+        obj = gl.certificate_to_json(cf)
+        back = gl.certificate_from_json(json.loads(json.dumps(obj)))
+        assert back.cert.order == cf.cert.order
+        assert np.allclose(back.func.values, cf.func.values)
+        assert back.cert.bound == cf.cert.bound
+        gl.verify_certificate(back)
+        assert gl.canonical_dumps(gl.certificate_to_json(back)) == gl.canonical_dumps(obj)
 
 
 def test_certificate_round_trip_nested():
+    """A dual at order 2 and a phase sum promoted to order 3."""
     rng = gl.derive_rng(5, "cli-roundtrip")
     f = gl.GroupFunction(7, (rng.uniform(-1, 1, 7) + 1j * rng.uniform(-1, 1, 7)) / 2)
-    cf = gl.certify_dual(f, 3)
-    obj = gl.certificate_to_json(cf)
-    back = gl.certificate_from_json(json.loads(json.dumps(obj)))
-    assert back.cert.order == 2
-    gl.verify_certificate(back)
-    assert np.allclose(back.func.values, cf.func.values)
+    promoted = gl.cert_promote(gl.certify_phase_sum(7, [(0.5, (0, 1)), (0.25j, (0, 3))]), 3)
+    for cf, order in ((gl.certify_dual(f, 3), 2), (promoted, 3)):
+        obj = gl.certificate_to_json(cf)
+        back = gl.certificate_from_json(json.loads(json.dumps(obj)))
+        assert back.cert.order == order
+        gl.verify_certificate(back)
+        assert np.allclose(back.func.values, cf.func.values)
+        assert gl.canonical_dumps(gl.certificate_to_json(back)) == gl.canonical_dumps(obj)
 
 
 def test_function_json_forms():

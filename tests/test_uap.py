@@ -3,7 +3,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gowers_lab as gl
@@ -701,20 +701,35 @@ OPS = st.one_of(
     st.tuples(st.just("conj"), st.just(0)),
     st.tuples(st.just("multiply"), st.integers(0, 2 ** 31)),
     st.tuples(st.just("promote"), st.just(0)),
+    st.tuples(st.just("scale"), st.sampled_from([0.0, 0.5, -1.0, 0.6 - 0.8j, 2j])),
+    st.tuples(st.just("raise"), st.floats(1.0, 4.0)),
+    st.tuples(st.just("add"), st.tuples(st.integers(0, 2 ** 31), st.floats(0.0, 1.0))),
+    st.tuples(st.just("sum"), st.integers(0, 2 ** 31)),
 )
+
+
+def _certified_other(seed, n, order):
+    """A certified dual of a fresh function, at order `order`."""
+    g = bounded_function(np.random.default_rng(seed), n, scale=1.0)
+    return gl.cert_promote(gl.certify_dual(g, min(order, 1) + 1), order)
 
 
 @settings(max_examples=25, deadline=None)
 @given(
     n=st.sampled_from([5, 7]),
-    d=st.sampled_from([2, 3]),
+    d=st.sampled_from([1, 2, 3]),
     seed=st.integers(0, 2 ** 31),
     ops=st.lists(OPS, max_size=4),
 )
+# d = 1 gives an order-0 dual: every closure operation on a constant
+@example(n=5, d=1, seed=1, ops=[("scale", 0.6 - 0.8j), ("raise", 2.0), ("add", (2, 0.25)),
+                                ("sum", 3), ("shift", 2), ("conj", 0), ("multiply", 4)])
+# sums at orders 2 and 3 concatenate nested coefficient rows
+@example(n=5, d=3, seed=1, ops=[("add", (2, 0.5)), ("conj", 0), ("multiply", 4),
+                                ("promote", 0), ("sum", 3), ("scale", 0.0)])
 def test_closure_chains_on_certified_duals_verify(n, d, seed, ops):
-    """Random chains of shift, conj, multiply and promote on a certified
-    dual verify, the loop verifier agrees, and the function is the one the
-    chain says."""
+    """Random chains of closure operations on a certified dual verify, the
+    loop verifier agrees, and the function is the one the chain says."""
     f = bounded_function(np.random.default_rng(seed), n, scale=1.0)
     cf = gl.certify_dual(f, d)
     want = cf.func.values
@@ -727,8 +742,19 @@ def test_closure_chains_on_certified_duals_verify(n, d, seed, ops):
         elif op == "promote" and cf.order < 3:
             cf = gl.cert_promote(cf, cf.order + 1)
         elif op == "multiply" and cf.order <= 2 and not multiplied:
-            g = bounded_function(np.random.default_rng(arg), n, scale=1.0)
-            other = gl.cert_promote(gl.certify_dual(g, 2), cf.order)
+            other = _certified_other(arg, n, cf.order)
             cf, want, multiplied = gl.cert_multiply(cf, other), want * other.func.values, True
+        elif op == "scale":
+            cf, want = gl.cert_scale(cf, arg), want * arg
+        elif op == "raise":
+            cf = gl.raise_bound(cf, cf.bound * arg)
+        elif op == "add":
+            other = _certified_other(arg[0], n, cf.order)
+            theta = arg[1]
+            cf = gl.cert_add(cf, other, theta)
+            want = (1 - theta) * want + theta * other.func.values
+        elif op == "sum":
+            other = _certified_other(arg, n, cf.order)
+            cf, want = gl.cert_sum(cf, other), want + other.func.values
     assert np.allclose(cf.func.values, want, atol=1e-12)
     assert_same_report(cf)
