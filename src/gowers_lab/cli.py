@@ -24,7 +24,7 @@ from .config import VERSION, RunConfig
 from .cyclic import GroupFunction
 from .errors import GowersLabError, InvalidConfigurationError
 from .gowers import dual_function, gowers_norm, von_neumann_check
-from .levelset import _boundary_mass, BOUNDARY_SIGMA, level_set_algebra, oscillation
+from .levelset import level_set_algebra, oscillation
 from .partitions import conditional_expectation, energy, join
 from .recurrence import (
     empirical_c,
@@ -41,6 +41,7 @@ from .serialize import (
     empirical_c_to_csv,
     function_from_json,
     function_to_json,
+    member_set_from_json,
     partition_from_json,
     partition_to_json,
     trace_to_csv,
@@ -180,20 +181,13 @@ def _partition_energy(args, cfg):
 def _levelset_build(args, cfg):
     certs = [_certify_input(_load(p)) for p in args.g]
     algebra = level_set_algebra(certs, args.eps, seed=cfg.seed)
-    alpha = algebra.generators[0].alpha
-    mass = _boundary_mass(
-        [gen.certified.func.values for gen in algebra.generators],
-        [gen.eps for gen in algebra.generators],
-        alpha,
-        BOUNDARY_SIGMA,
-    )
     return {
         "partition": partition_to_json(algebra.partition),
         "diagnostics": {
             "atoms": algebra.partition.atom_count,
             "linf_error": oscillation(algebra),
-            "boundary_mass": int(mass),
-            "alpha": alpha,
+            "boundary_mass": algebra.boundary_mass(),
+            "alpha": algebra.generators[0].alpha,
             "complexity": algebra.complexity,
         },
     }
@@ -249,7 +243,7 @@ def _recur_empirical_c(args, cfg):
 
 
 def _recur_find_ap(args, cfg):
-    ap = find_k_ap_in_set(_load(args.input)["set"], args.k)
+    ap = find_k_ap_in_set(member_set_from_json(_load(args.input)), args.k)
     return {"k": args.k, "ap": list(ap) if ap is not None else None}
 
 

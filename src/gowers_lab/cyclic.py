@@ -217,44 +217,24 @@ def phase_values(poly, n: int) -> np.ndarray:
     return np.exp(2j * np.pi * poly_values_mod(poly, n) / n)
 
 
-@dataclass(eq=False)
-class PhaseSum:
-    """A function F = (1/J) sum_j c_j e(P_j(x)/N) together with its terms.
+def quasiperiodic(n: int, terms) -> GroupFunction:
+    """F = (1/J) sum_j c_j e(P_j(x)/n) from J (coefficient, poly) pairs.
 
-    Terms are kept so that downstream certificate constructors can reuse
-    the exact polynomial structure instead of re-deriving it from values.
-    """
-
-    func: GroupFunction
-    degree: int
-    terms: tuple  # ((c_j, poly_j), ...) with polys reduced mod N
-
-    @property
-    def n(self) -> int:
-        return self.func.n
-
-
-def quasiperiodic(n: int, terms) -> PhaseSum:
-    """Build F = (1/J) sum_j c_j e(P_j(x)/n) from (coefficient, poly) pairs.
-
-    Requires |c_j| <= 1 for every term, which makes F bounded by 1.
+    Requires |c_j| <= 1 for every term, which makes F bounded by 1.  Its
+    certificate is certify_phase_sum(n, [(c_j / J, P_j)]), with bound
+    sum_j |c_j| / J <= 1.
     """
     n = _check_prime(n)
-    terms = list(terms)
+    terms = [(complex(c), poly) for c, poly in terms]
     if not terms:
         raise EmptyDomainError("quasiperiodic function needs at least one term")
-    reduced = []
+    values = np.zeros(n, dtype=np.complex128)
     for c, poly in terms:
-        c = complex(c)
         if abs(c) > 1.0 + DEFAULT_TOL:
             raise InvalidCoefficientError(f"|c| = {abs(c)} exceeds 1")
-        reduced.append((c, poly_reduce(poly, n)))
-    values = np.zeros(n, dtype=np.complex128)
-    for c, poly in reduced:
         values += c * phase_values(poly, n)
-    values /= len(reduced)
-    degree = max(poly_degree(p, n) for _, p in reduced)
-    return PhaseSum(GroupFunction(n, values), degree, tuple(reduced))
+    values /= len(terms)
+    return GroupFunction(n, values)
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,15 @@ class CompactAlgebra:
             cap *= side * side
         return cap
 
+    def boundary_mass(self) -> int:
+        """Generator coordinates within BOUNDARY_SIGMA of a cell boundary,
+        at the algebra's own offset: the mass select_alpha minimizes."""
+        if not self.generators:
+            return 0
+        return _boundary_mass([g.certified.func.values for g in self.generators],
+                              [g.eps for g in self.generators],
+                              self.generators[0].alpha, BOUNDARY_SIGMA)
+
 
 def trivial_algebra(n: int) -> CompactAlgebra:
     return CompactAlgebra(n, (), Partition.trivial(n))

@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from .cyclic import GroupFunction, PhaseSum, quasiperiodic
+from .cyclic import GroupFunction, quasiperiodic
 from .errors import InvalidConfigurationError
 from .partitions import Partition
 from .structure import TRACE_COLUMNS
@@ -70,17 +70,18 @@ def function_from_json(obj: dict) -> GroupFunction:
         n, members = _fields(obj, "function", "n", "set")
         return GroupFunction.indicator(int(n), members)
     if "terms" in obj:
-        return phase_sum_from_json(obj).func
+        n, raw = _fields(obj, "function", "n", "terms")
+        terms = []
+        for t in raw:
+            c, poly = _fields(t, "phase term", "c", "poly")
+            terms.append((complex(c[0], c[1]), tuple(int(a) for a in poly)))
+        return quasiperiodic(int(n), terms)
     raise InvalidConfigurationError("unrecognized function JSON shape")
 
 
-def phase_sum_from_json(obj: dict) -> PhaseSum:
-    n, raw = _fields(obj, "function", "n", "terms")
-    terms = []
-    for t in raw:
-        c, poly = _fields(t, "phase term", "c", "poly")
-        terms.append((complex(c[0], c[1]), tuple(int(a) for a in poly)))
-    return quasiperiodic(int(n), terms)
+def member_set_from_json(obj: dict) -> list:
+    """The members of an integer set {"n", "set"}; only "set" is read."""
+    return _fields(obj, "member set", "set")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -133,23 +134,21 @@ def certificate_to_json(cf: CertifiedFunction) -> dict:
 
 
 def certificate_from_json(obj: dict) -> CertifiedFunction:
-    order = int(obj["order"])
-    bound = float(obj["M"])
-    func = function_from_json(obj["func"])
+    order, bound, func = _fields(obj, "certificate", "order", "M", "func")
+    order, bound, func = int(order), float(bound), function_from_json(func)
     if order == 0:
-        value = complex(obj["value"][0], obj["value"][1])
-        return CertifiedFunction(func, UapCertificate(0, bound, value=value))
-    weights = np.asarray(obj["weights"], dtype=float)
-    columns = tuple(function_from_json(g) for g in obj["columns"])
+        (value,) = _fields(obj, "order-0 certificate", "value")
+        return CertifiedFunction(func, UapCertificate(0, bound, value=complex(value[0], value[1])))
+    weights, columns, coeffs = _fields(obj, "certificate", "weights", "columns", "coeffs")
+    weights = np.asarray(weights, dtype=float)
+    columns = tuple(function_from_json(g) for g in columns)
     if order == 1:
         coeffs = np.array(
-            [[complex(c[0], c[1]) for c in row] for row in obj["coeffs"]],
+            [[complex(c[0], c[1]) for c in row] for row in coeffs],
             dtype=np.complex128,
         )
     else:
-        coeffs = tuple(
-            tuple(certificate_from_json(c) for c in row) for row in obj["coeffs"]
-        )
+        coeffs = tuple(tuple(certificate_from_json(c) for c in row) for row in coeffs)
     cert = UapCertificate(order, bound, weights=weights, columns=columns, coeffs=coeffs)
     return CertifiedFunction(func, cert)
 

@@ -30,11 +30,12 @@ import numpy as np
 from .config import DEFAULT_TOL, DEFAULT_CERT_NODE_BUDGET
 from .cyclic import (
     GroupFunction,
-    PhaseSum,
+    inner_product,
     phase_values,
     poly_degree,
     poly_reduce,
     poly_shift_difference,
+    shift,
 )
 from .errors import (
     BoundednessError,
@@ -47,7 +48,6 @@ from .errors import (
     UnsupportedOrderError,
 )
 from .gowers import _BLOCK, _shift_table, fourier_coefficients, gowers_norm
-from .cyclic import inner_product, shift
 
 
 @dataclass(eq=False)
@@ -524,22 +524,20 @@ def certify_phase_sum(n: int, terms, order: int | None = None) -> CertifiedFunct
         return cert_zero(n, order or 0)
     degree = max(poly_degree(p, n) for _, p in kept)
     total = sum(abs(g) for g, _ in kept)
-    values = np.zeros(n, dtype=np.complex128)
-    for g, p in kept:
-        values += g * phase_values(p, n)
-    func = GroupFunction(n, values)
     if degree == 0:
-        const = complex(sum(g * np.exp(2j * np.pi * p[0] / n) for g, p in kept))
-        cert = UapCertificate(0, float(total), value=const)
-        out = CertifiedFunction(GroupFunction.constant(n, const), cert)
+        const = sum(g * np.exp(2j * np.pi * p[0] / n) for g, p in kept)
+        out = certify_constant(n, const, bound=total)
     else:
+        values = np.zeros(n, dtype=np.complex128)
+        for g, p in kept:
+            values += g * phase_values(p, n)
         columns = tuple(GroupFunction(n, phase_values(p, n)) for _, p in kept)
         weights = np.array([abs(g) / total for g, _ in kept])
         coeffs = _phase_coeffs(n, [(_phase_of(g), p) for g, p in kept], degree)
         cert = UapCertificate(
             degree, float(total), weights=weights, columns=columns, coeffs=coeffs
         )
-        out = CertifiedFunction(func, cert)
+        out = CertifiedFunction(GroupFunction(n, values), cert)
     if order is not None and order > out.cert.order:
         out = cert_promote(out, order)
     elif order is not None and order < out.cert.order:
@@ -556,29 +554,6 @@ def certify_spectrum(f: GroupFunction) -> CertifiedFunction:
     return certify_phase_sum(
         f.n, [(fhat[xi], (0, xi)) for xi in range(f.n) if abs(fhat[xi]) > 1e-13]
     )
-
-
-def certify_quasiperiodic(ps: PhaseSum) -> CertifiedFunction:
-    """Certificate of order max_j deg(P_j) and bound 1 for a phase average.
-
-    For F = (1/J) sum_j c_j e(P_j/n) the shifted function expands as
-    T^i F = (1/J) sum_j [c_j e((P_j(x+i)-P_j(x))/n)] e(P_j(x)/n), so the
-    columns are the phases themselves with uniform weights and the
-    coefficients absorb c_j; their degree drops by one per level.
-    """
-    n = ps.n
-    terms = list(ps.terms)
-    j_count = len(terms)
-    degree = ps.degree
-    if degree == 0:
-        value = complex(np.mean(ps.func.values))
-        cert = UapCertificate(0, 1.0, value=value)
-        return CertifiedFunction(ps.func, cert)
-    columns = tuple(GroupFunction(n, phase_values(p, n)) for _, p in terms)
-    weights = np.full(j_count, 1.0 / j_count)
-    coeffs = _phase_coeffs(n, terms, degree)
-    cert = UapCertificate(degree, 1.0, weights=weights, columns=columns, coeffs=coeffs)
-    return CertifiedFunction(ps.func, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -614,10 +589,7 @@ def certify_dual(
             f"certificate would need ~{n ** (d - 1)} nodes, budget {node_budget}"
         )
     if d == 1:
-        # D_1(f) is the constant E(f)
-        mean = complex(np.mean(f.values))
-        cert = UapCertificate(0, 1.0, value=mean)
-        return CertifiedFunction(GroupFunction.constant(n, mean), cert)
+        return certify_constant(n, np.mean(f.values), bound=1.0)  # D_1(f) = E(f)
     idx = _shift_table(n)
     shifted = f.values[idx]  # row h is T^h f
     columns = tuple(GroupFunction(n, row) for row in shifted)

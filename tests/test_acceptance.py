@@ -197,12 +197,10 @@ def test_criterion_06_certificate_soundness(criterion):
     worst = 0.0
     for t in range(100):
         n = int(rng.choice((7, 11, 13)))
-        c_lin = gl.certify_quasiperiodic(gl.quasiperiodic(
+        c_lin = gl.certify_phase_sum(
             n, [(np.exp(2j * np.pi * rng.uniform()) * 0.5, lin_poly(rng, n))]
-        ))
-        c_quad = gl.certify_quasiperiodic(gl.quasiperiodic(
-            n, [(0.5, quad_poly(rng, n))]
-        ))
+        )
+        c_quad = gl.certify_phase_sum(n, [(0.5, quad_poly(rng, n))])
         f = bounded(rng, n)
         c_dual = gl.certify_dual(f, 2, tol=TOL)
         products = [
@@ -239,9 +237,9 @@ def test_criterion_07_level_set_contract(criterion):
     equivariant = True
     for trial in range(100):
         n = int(rng.choice((7, 11, 13, 17)))
-        G = gl.certify_quasiperiodic(gl.quasiperiodic(
+        G = gl.certify_phase_sum(
             n, [(np.exp(2j * np.pi * rng.uniform()), quad_poly(rng, n))]
-        ))
+        )
         eps = float(rng.uniform(0.15, 0.8))
         alg = gl.level_set_algebra([G], eps, seed=trial)
         proj = gl.conditional_expectation(G.func, alg.partition)

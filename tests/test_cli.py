@@ -393,6 +393,7 @@ def test_levelset_build(tmp_path, capsys):
     want = gl.level_set_algebra([dual], 0.25)
     assert env["report"]["partition"] == gl.partition_to_json(want.partition)
     assert env["report"]["diagnostics"]["complexity"] == want.complexity
+    assert env["report"]["diagnostics"]["boundary_mass"] == want.boundary_mass()
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +475,8 @@ def test_recur_average_and_find_ap(tmp_path, capsys):
     bad = write(tmp_path, "bad.json", {"n": 20, "members": [0, 2]})
     rc, err = run_json(capsys, ["recur", "find-ap", "--input", bad, "--k", "3"])
     assert rc == 1
-    assert err["error"]["type"] == "KeyError"
+    assert err["error"]["type"] == "InvalidConfigurationError"
+    assert '"set"' in err["error"]["message"]
 
 
 def test_recur_empirical_c_json_and_csv(capsys):
@@ -559,6 +561,7 @@ def test_vdw_node_budget_binds(capsys):
     ["partition", "join", "--inputs", "NO_LABELS", "NO_LABELS"],
     ["gowers", "norm", "--input", "DENSE_NO_N", "--order", "2"],
     ["gowers", "norm", "--input", "TERM_NO_POLY", "--order", "2"],
+    ["uap", "verify", "--cert", "CERT_NO_FUNC"],
 ])
 def test_bad_search_inputs_get_error_envelope(tmp_path, capsys, argv):
     files = {
@@ -567,6 +570,7 @@ def test_bad_search_inputs_get_error_envelope(tmp_path, capsys, argv):
         "NO_LABELS": ({"n": 7}, '"labels"; expected {"n", "labels"}'),
         "DENSE_NO_N": ({"re": [1.0] * 7}, '"n"; expected {"n", "re"}'),
         "TERM_NO_POLY": ({"n": 7, "terms": [{"c": [1.0, 0.0]}]}, '"poly"; expected {"c", "poly"}'),
+        "CERT_NO_FUNC": ({"order": 1, "M": 1.0}, '"func"; expected {"order", "M", "func"}'),
     }
     paths = {k: write(tmp_path, f"{k}.json", obj) for k, (obj, _) in files.items()}
     rc, err = run_json(capsys, [paths.get(a, a) for a in argv])
@@ -624,7 +628,7 @@ def test_function_json_forms():
     qp = gl.function_from_json(
         {"n": 7, "terms": [{"c": [0.5, 0.5], "poly": [0, 0, 1]}]}
     )
-    want = gl.quasiperiodic(7, [((0.5 + 0.5j), (0, 0, 1))]).func
+    want = gl.quasiperiodic(7, [((0.5 + 0.5j), (0, 0, 1))])
     assert np.allclose(qp.values, want.values)
     dense = gl.function_to_json(want)
     again = gl.function_from_json(json.loads(json.dumps(dense)))

@@ -15,7 +15,7 @@ def phase_generator(rng, n, degree=1, count=1):
     for _ in range(count):
         poly = tuple(int(c) for c in rng.integers(0, n, degree + 1))
         terms.append((np.exp(2j * np.pi * rng.uniform()), poly))
-    return gl.certify_quasiperiodic(gl.quasiperiodic(n, terms))
+    return gl.certify_phase_sum(n, [(c / count, p) for c, p in terms])
 
 
 def test_trivial_algebra():
@@ -24,6 +24,7 @@ def test_trivial_algebra():
     assert alg.complexity == 0.0
     assert alg.order == 0
     assert oscillation(alg) == 0.0
+    assert alg.boundary_mass() == 0
 
 
 def test_oscillation_and_capacity():

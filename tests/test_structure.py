@@ -108,7 +108,7 @@ def test_dichotomy_precondition():
     n = 53
     f = random_density_set(7, n, 0.3)
     base = gl.trivial_algebra(n)
-    gen = gl.certify_quasiperiodic(gl.quasiperiodic(n, [(1.0, (0, 1))]))
+    gen = gl.certify_phase_sum(n, [(1.0, (0, 1))])
     refined = gl.level_set_algebra([gen], 0.05, seed=0)
     # the refinement carries far more energy than tau^2 over the base
     with pytest.raises(InvalidConfigurationError):

@@ -45,21 +45,31 @@ def test_certify_constant():
 
 
 def test_quasiperiodic_certificates():
+    # a phase average (1/J) sum_j c_j e(P_j/N) is the phase sum with gamma_j = c_j / J
     rng = np.random.default_rng(0)
-    for _ in range(25):
+    orders = []
+    for trial in range(40):
         n = int(rng.choice(PRIMES))
-        j_terms = int(rng.integers(1, 4))
+        j_terms = int(rng.integers(1, 5))
         terms = []
         for _ in range(j_terms):
-            deg = int(rng.integers(0, 3))
+            deg = int(rng.integers(0, 4))
             poly = tuple(int(c) for c in rng.integers(0, n, deg + 1))
             phase = np.exp(2j * np.pi * rng.uniform())
             terms.append((phase * rng.uniform(0.2, 1.0), poly))
-        ps = gl.quasiperiodic(n, terms)
-        cf = gl.certify_quasiperiodic(ps)
-        assert cf.bound == pytest.approx(1.0)
-        rep = assert_certifies(cf, ps.func)
+        if trial % 4 == 0:  # a repeated polynomial, merged into one column
+            terms.append((0.5j, tuple(a + n for a in terms[0][1])))
+        f = gl.quasiperiodic(n, terms)
+        cf = gl.certify_phase_sum(n, [(c / len(terms), p) for c, p in terms])
+        assert np.max(np.abs(cf.func.values - f.values)) <= 1e-12
+        assert cf.bound <= 1.0 + 1e-12
+        assert cf.order == max(gl.poly_degree(p, n) for _, p in terms)
+        if cf.order >= 1:
+            assert len(cf.cert.columns) == len({gl.poly_reduce(p, n) for _, p in terms})
+        orders.append(cf.order)
+        rep = assert_certifies(cf, f)
         assert rep.max_reconstruction_error <= 1e-9
+    assert set(orders) == {0, 1, 2, 3}
 
 
 def test_certify_dual_orders():
@@ -77,6 +87,9 @@ def test_certify_dual_rejects_unbounded():
     f = gl.GroupFunction.constant(7, 1.5)
     with pytest.raises(BoundednessError):
         gl.certify_dual(f, 2)
+    # a loose tol admits the input, but the order-0 dual E(f) still exceeds its bound 1
+    with pytest.raises(CertificateInvalidError):
+        gl.certify_dual(gl.GroupFunction.constant(7, 1.2), 1, tol=0.5)
 
 
 def test_certify_dual_node_budget():
