@@ -57,9 +57,12 @@ from .uap import (
 from .vdw import bound_recursion, find_mono_ap, vdw_number
 
 
-def _load(path: str) -> dict:
-    with open(path, "r") as fh:
-        obj = json.load(fh)
+def _load(path: str):
+    with open(path, encoding="utf-8") as fh:
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+            raise InvalidConfigurationError(f"{path} is not UTF-8 JSON: {exc}") from None
     # outputs of other runs feed back in directly
     if isinstance(obj, dict) and "report" in obj and "version" in obj:
         return obj["report"]
@@ -72,7 +75,7 @@ def _load_function(path: str) -> GroupFunction:
 
 def _certify_input(obj: dict) -> CertifiedFunction:
     """Certificate JSON passes through; a bare function gets its spectral certificate."""
-    if "order" in obj and "M" in obj:
+    if isinstance(obj, dict) and "order" in obj and "M" in obj:
         return certificate_from_json(obj)
     return certify_spectrum(function_from_json(obj))
 
@@ -124,7 +127,7 @@ def _arith(node, names: dict):
 
 
 def _gowers_norm(args, cfg):
-    gn = gowers_norm(_load_function(args.input), args.order, tol=cfg.tol)
+    gn = gowers_norm(_load_function(args.input), args.order)
     if gn.value is None:
         return {"order": gn.order, "value": [gn.u0_value.real, gn.u0_value.imag]}
     return {"order": gn.order, "value": gn.value}
@@ -309,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     g = groups.add_parser("gowers").add_subparsers(dest="verb", required=True)
-    p = leaf(g, "norm", _gowers_norm, "tol")
+    p = leaf(g, "norm", _gowers_norm)
     p.add_argument("--input", required=True)
     p.add_argument("--order", type=int, required=True)
     p = leaf(g, "dual", _gowers_dual)
@@ -426,7 +429,7 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(report)
         return 0
-    except (GowersLabError, OSError, KeyError, ValueError) as exc:
+    except (GowersLabError, OSError) as exc:
         err = {
             "error": {"type": type(exc).__name__, "message": str(exc)},
             "seed": cfg.seed,

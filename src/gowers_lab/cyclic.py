@@ -72,7 +72,7 @@ class GroupFunction:
 
     @classmethod
     def indicator(cls, n: int, support) -> "GroupFunction":
-        vals = np.zeros(n, dtype=np.complex128)
+        vals = np.zeros(_check_prime(n), dtype=np.complex128)
         for x in support:
             x = int(x)
             if not 0 <= x < n:
@@ -124,28 +124,9 @@ def dilate(f: GroupFunction, lam: int) -> GroupFunction:
     return GroupFunction(f.n, f.values[idx])
 
 
-def expectation(f: GroupFunction, subset=None) -> complex:
-    """E(f | A) = average of f over A; A defaults to all of Z_N."""
-    if subset is None:
-        return complex(np.mean(f.values))
-    mask = _subset_mask(f.n, subset)
-    if not mask.any():
-        raise EmptyDomainError("conditional expectation over an empty set")
-    return complex(np.mean(f.values[mask]))
-
-
-def _subset_mask(n: int, subset) -> np.ndarray:
-    arr = np.asarray(subset)
-    if arr.dtype == bool:
-        if arr.shape != (n,):
-            raise DimensionMismatchError("boolean mask has wrong length")
-        return arr
-    mask = np.zeros(n, dtype=bool)
-    for x in np.asarray(arr, dtype=np.int64).ravel():
-        if not 0 <= x < n:
-            raise DimensionMismatchError(f"subset element {x} outside Z_{n}")
-        mask[x] = True
-    return mask
+def expectation(f: GroupFunction) -> complex:
+    """E(f), the average of f over Z_N."""
+    return complex(np.mean(f.values))
 
 
 def inner_product(f: GroupFunction, g: GroupFunction) -> complex:

@@ -2,7 +2,7 @@
 
 Every failure mode that callers are expected to branch on gets its own
 class; plain ValueError is reserved for programming mistakes that no
-caller should catch.
+caller should catch, and the CLI lets it through as the bug it is.
 """
 
 
@@ -35,7 +35,7 @@ class BoundednessError(GowersLabError):
 
 
 class InvalidConfigurationError(GowersLabError):
-    """Bad argument combination (repeated dilation constants, empty tuple, ...)."""
+    """Bad argument combination or malformed JSON input (a missing or mistyped field, ...)."""
 
 
 class MissingInputError(GowersLabError):

@@ -90,7 +90,7 @@ class CompactAlgebra:
             return 0
         return _boundary_mass([g.certified.func.values for g in self.generators],
                               [g.eps for g in self.generators],
-                              self.generators[0].alpha, BOUNDARY_SIGMA)
+                              self.generators[0].alpha)
 
 
 def trivial_algebra(n: int) -> CompactAlgebra:
@@ -100,21 +100,20 @@ def trivial_algebra(n: int) -> CompactAlgebra:
 def _cell_coordinates(values: np.ndarray, eps: float, alpha: float) -> np.ndarray:
     re = np.floor(values.real / eps - alpha + 0.5)
     im = np.floor(values.imag / eps - alpha + 0.5)
-    return np.stack([re, im], axis=1).astype(np.int64)
+    return np.stack([re, im], axis=1)
 
 
-def _boundary_mass(values_list, eps_list, alpha: float, sigma: float) -> int:
+def _boundary_mass(values_list, eps_list, alpha: float) -> int:
     total = 0
     for values, eps in zip(values_list, eps_list):
         for comp in (values.real, values.imag):
             frac = np.mod(comp / eps - alpha + 0.5, 1.0)
             dist = np.minimum(frac, 1.0 - frac)
-            total += int(np.count_nonzero(dist < sigma))
+            total += int(np.count_nonzero(dist < BOUNDARY_SIGMA))
     return total
 
 
-def select_alpha(values_list, eps_list, seed: int = 0,
-                 sigma: float = BOUNDARY_SIGMA) -> float:
+def select_alpha(values_list, eps_list, seed: int = 0) -> float:
     """Pick the candidate offset with the least boundary mass.
 
     The mass functional is shift-invariant, so the selected alpha is the
@@ -124,23 +123,19 @@ def select_alpha(values_list, eps_list, seed: int = 0,
     rng = derive_rng(seed, "level-alpha")
     candidates = rng.uniform(0.0, 1.0, ALPHA_CANDIDATES)
     masses = np.array(
-        [_boundary_mass(values_list, eps_list, a, sigma) for a in candidates]
+        [_boundary_mass(values_list, eps_list, a) for a in candidates]
     )
     if masses.min() == masses.max():
         return GOLDEN_FRACTION
     return float(candidates[int(np.argmin(masses))])
 
 
-def level_set_algebra(
-    generators,
-    eps,
-    seed: int = 0,
-    alpha: float | None = None,
-) -> CompactAlgebra:
+def level_set_algebra(generators, eps, seed: int = 0) -> CompactAlgebra:
     """The algebra generated by the cell partitions of certified functions.
 
-    `eps` may be a scalar or one scale per generator.  A shared alpha is
-    selected unless supplied.
+    `eps` may be a scalar or one scale per generator; one alpha is selected
+    for all of them.  A scale at which M/eps is not finite or reaches 2^53,
+    where cell coordinates stop being exact integers, is refused.
     """
     gens = tuple(generators)
     if not gens:
@@ -151,12 +146,11 @@ def level_set_algebra(
     eps_arr = np.asarray(eps, dtype=float).ravel()
     if eps_arr.size not in (1, len(gens)):
         raise InvalidConfigurationError(f"{eps_arr.size} eps values for {len(gens)} generators")
-    eps_list = list(np.broadcast_to(eps_arr, len(gens)))
-    if any(not e > 0 for e in eps_list):
-        raise InvalidConfigurationError("eps must be positive")
+    eps_list = [float(e) for e in np.broadcast_to(eps_arr, len(gens))]
+    if any(not (e > 0 and float(g.cert.bound) / e < 2.0 ** 53) for g, e in zip(gens, eps_list)):
+        raise InvalidConfigurationError("eps must be positive, with M/eps below 2^53")
     values_list = [g.func.values for g in gens]
-    if alpha is None:
-        alpha = select_alpha(values_list, eps_list, seed=seed)
+    alpha = select_alpha(values_list, eps_list, seed=seed)
     keys = np.hstack(
         [_cell_coordinates(v, e, alpha) for v, e in zip(values_list, eps_list)]
     )

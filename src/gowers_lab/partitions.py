@@ -33,7 +33,7 @@ class Partition:
 
     def __post_init__(self):
         labels = np.asarray(self.labels, dtype=np.int64)
-        if labels.shape != (self.n,):
+        if self.n < 1 or labels.shape != (self.n,):
             raise DimensionMismatchError(
                 f"labels shape {labels.shape} does not match modulus {self.n}"
             )

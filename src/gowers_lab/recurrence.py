@@ -17,6 +17,7 @@ from .config import DEFAULT_TOL, derive_rng
 from .cyclic import GroupFunction, shift
 from .errors import (
     BoundednessError,
+    DimensionMismatchError,
     EmptyDomainError,
     InvalidConfigurationError,
     MissingInputError,
@@ -261,9 +262,9 @@ class EpsilonNet:
 
 
 def _as_matrix(vectors) -> np.ndarray:
-    rows = []
-    for v in vectors:
-        rows.append(v.values if isinstance(v, GroupFunction) else np.asarray(v))
+    rows = [v.values if isinstance(v, GroupFunction) else np.asarray(v) for v in vectors]
+    if len({row.shape for row in rows}) > 1:
+        raise DimensionMismatchError("vectors of different lengths")
     return np.stack(rows).astype(np.complex128)
 
 

@@ -41,7 +41,7 @@ from .levelset import (
     trivial_algebra,
 )
 from .partitions import conditional_expectation, energy
-from .uap import CertifiedFunction, certify_dual, verify_certificate
+from .uap import CertifiedFunction, lower_bound_correlation, verify_certificate
 
 INCREMENT_HALVINGS = 8
 APPROX_SHARPNESS = 5000  # approximation target delta^2 / (5000 k)
@@ -134,7 +134,7 @@ def structure_dichotomy(
             norm_fU=u,
             approximation=approx,
         )
-    witness = certify_dual(f_u, k - 1, node_budget, tol)
+    witness = lower_bound_correlation(f_u, k, u, node_budget, tol).certificate
     rho = u ** (2 ** (k - 1))
     eps = rho / 16.0
     for halving in range(INCREMENT_HALVINGS + 1):

@@ -204,7 +204,7 @@ def _walk(cf: CertifiedFunction, tol: float):
                 key = (id(row), cert.order, len(cert.columns))
                 if key in rows:
                     continue
-                fail = _row_failure(row, cert.order, len(cert.columns), tol)
+                fail = _row_failure(row, cert.order, len(cert.columns), node.n, tol)
                 if fail is not None:
                     fail = _COEFF, fail[0], (i,) + fail[1]
                     break
@@ -216,7 +216,7 @@ def _walk(cf: CertifiedFunction, tol: float):
     return nodes, paths, depth, worst, []
 
 
-def _row_failure(row, order: int, h: int, tol: float):
+def _row_failure(row, order: int, h: int, n: int, tol: float):
     """The first failed check on one row of an order >= 2 node, as
     (message, slot within the row), or None."""
     if len(row) != h:
@@ -224,6 +224,8 @@ def _row_failure(row, order: int, h: int, tol: float):
     for j, sub in enumerate(row):
         if not isinstance(sub, CertifiedFunction):
             return "coefficient of an order >= 2 node must be certified", (j,)
+        if sub.n != n:
+            return "coefficient on wrong group", (j,)
         if sub.cert.order != order - 1:
             return f"coefficient order {sub.cert.order}, expected {order - 1}", (j,)
         if not sub.cert.bound <= 1.0 + tol:
@@ -241,7 +243,9 @@ def _check_set(nodes: list, members: list, tol: float, done: int, fails: list) -
     order, n = first.cert.order, first.n
     w = np.asarray(first.cert.weights, dtype=float)
     fail = None
-    if np.any(w < -tol):
+    if w.shape != (len(first.cert.columns),):
+        fail = "weights and columns differ in number", ()
+    elif np.any(w < -tol):
         fail = "negative weight", ()
     elif not abs(float(w.sum()) - 1.0) <= tol * max(1, len(w)):
         fail = f"weights sum to {w.sum()!r}, not 1", ()

@@ -1,7 +1,11 @@
 """End-to-end command-line coverage: every verb, the JSON envelope,
 exit codes, CSV forms, and the frozen decompose regression."""
 import argparse
+import contextlib
+import copy
 import dataclasses
+import io
+import itertools
 import json
 import re
 import shlex
@@ -9,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gowers_lab as gl
 from gowers_lab import cli
@@ -136,7 +142,7 @@ def test_csv_without_csv_form_errors(tmp_path, capsys):
 SETTINGS = {"--seed", "--tol", "--budget-driver-steps", "--budget-cert-nodes",
             "--budget-vdw-nodes", "--budget-digit-limit"}
 VERB_SETTINGS = {
-    ("gowers", "norm"): {"--tol"},
+    ("gowers", "norm"): set(),
     ("gowers", "dual"): set(),
     ("gowers", "vnn"): {"--tol"},
     ("uap", "verify"): {"--tol"},
@@ -182,7 +188,7 @@ def test_each_verb_accepts_exactly_its_settings():
         assert "--out" in opts, verb
         assert ("--format" in opts) == (verb in CSV_VERBS), verb
     settable = sum(len(opts & (SETTINGS | {"--format", "--out"})) for opts in flags.values())
-    assert settable == 37
+    assert settable == 36
 
 
 def test_settings_table_matches_run_config():
@@ -209,9 +215,9 @@ def test_unread_setting_is_a_usage_error(tmp_path, capsys):
     ["vdw", "bound", "--k", "3", "--m", "2", "--budget-digit-limit", "-1"],
     ["structure", "decompose", "--input", "F", "--k", "3", "--delta", "0.3",
      "--budget-driver-steps", "-3"],
-    ["gowers", "norm", "--input", "F", "--order", "2", "--tol", "-1"],
+    ["gowers", "vnn", "--inputs", "F", "--lambdas", "1", "--tol", "-1"],
     ["uap", "verify", "--cert", "CERT", "--tol", "nan"],
-    ["gowers", "norm", "--input", "F", "--order", "2", "--tol", "inf"],
+    ["gowers", "vnn", "--inputs", "F", "--lambdas", "1", "--tol", "inf"],
     ["levelset", "build", "--g", "F", "--eps", "0.25", "--seed", "-1"],
     ["recur", "empirical-c", "--k", "3", "--delta", "0.3", "--n", "7", "--seed", "-1"],
 ], ids=["digit-limit", "driver-steps", "tol-negative", "tol-nan", "tol-inf",
@@ -235,10 +241,16 @@ def test_bad_run_settings_exit_before_any_work(tmp_path, capsys, argv):
     ["recur", "net", "--inputs", "C", "C", "--theta", "nan"],
     ["recur", "sample", "--inputs", "C", "C", "--weights", "nan", "0.5", "--d", "4"],
     ["recur", "sample", "--inputs", "C", "C", "--weights", "0", "0", "--d", "4"],
-], ids=["eps-nan", "eps-count", "theta-nan", "weight-nan", "weights-zero"])
+    # M/eps at or beyond 2^53: cell coordinates are no longer exact integers
+    ["levelset", "build", "--g", "F", "--eps", "1e-300"],
+    ["levelset", "build", "--g", "F", "--eps", "1e-310"],
+], ids=["eps-nan", "eps-count", "theta-nan", "weight-nan", "weights-zero",
+        "eps-1e-300", "eps-1e-310"])
 def test_bad_scales_get_error_envelope(tmp_path, capsys, argv):
     g = {"n": 13, "terms": [{"c": [1.0, 0.0], "poly": [0, 1]}]}
-    files = {"G": write(tmp_path, "g.json", g), "C": write(tmp_path, "c.json", {"n": 5, "re": [1.0] * 5})}
+    files = {"G": write(tmp_path, "g.json", g),
+             "C": write(tmp_path, "c.json", {"n": 5, "re": [1.0] * 5}),
+             "F": write(tmp_path, "f.json", {"n": 7, "set": [0, 2, 3]})}
     rc, err = run_json(capsys, [files.get(a, a) for a in argv])
     assert rc == 1
     assert err["error"]["type"] == "InvalidConfigurationError"
@@ -562,8 +574,29 @@ def test_vdw_node_budget_binds(capsys):
     ["gowers", "norm", "--input", "DENSE_NO_N", "--order", "2"],
     ["gowers", "norm", "--input", "TERM_NO_POLY", "--order", "2"],
     ["uap", "verify", "--cert", "CERT_NO_FUNC"],
+    # a field of the wrong JSON type, or a file that is not a JSON object
+    ["recur", "find-ap", "--input", "SET_INT", "--k", "3"],
+    ["gowers", "norm", "--input", "C_REAL", "--order", "2"],
+    ["gowers", "norm", "--input", "C_SHORT", "--order", "2"],
+    ["gowers", "norm", "--input", "N_HUGE", "--order", "2"],
+    ["gowers", "norm", "--input", "TOP_NUMBER", "--order", "2"],
+    ["uap", "verify", "--cert", "VALUE_INT"],
+    ["uap", "audit", "--input", "F7", "--cert", "VALUE_INT"],
+    ["gowers", "norm", "--input", "SET_STR", "--order", "2"],
+    ["gowers", "norm", "--input", "N_FLOAT", "--order", "2"],
+    ["partition", "join", "--inputs", "LABELS_FLOAT", "LABELS_FLOAT"],
+    ["vdw", "check", "--colouring", "N_BOOL", "--k", "3"],
+    ["gowers", "norm", "--input", "RE_STR", "--order", "2"],
+    ["gowers", "norm", "--input", "NOT_JSON", "--order", "2"],
+    ["gowers", "norm", "--input", "NOT_UTF8", "--order", "2"],
+    ["vdw", "check", "--colouring", "COLOUR_STR", "--k", "3"],
+    # functions on different Z_N
+    ["recur", "net", "--inputs", "F5", "F7", "--theta", "0.5"],
+    ["recur", "sample", "--inputs", "F5", "F7", "--weights", "0.5", "0.5", "--d", "4"],
 ])
 def test_bad_search_inputs_get_error_envelope(tmp_path, capsys, argv):
+    """Every malformed input exits 1 with one envelope that names the
+    field and its form; a str or bytes value is written as the raw file."""
     files = {
         "NO_N_M": ({"colours": [1, 1, 2, 2, 1, 1, 2, 2]},
                    '"n", "m"; expected {"n", "m", "colours"}'),
@@ -571,14 +604,139 @@ def test_bad_search_inputs_get_error_envelope(tmp_path, capsys, argv):
         "DENSE_NO_N": ({"re": [1.0] * 7}, '"n"; expected {"n", "re"}'),
         "TERM_NO_POLY": ({"n": 7, "terms": [{"c": [1.0, 0.0]}]}, '"poly"; expected {"c", "poly"}'),
         "CERT_NO_FUNC": ({"order": 1, "M": 1.0}, '"func"; expected {"order", "M", "func"}'),
+        "SET_INT": ({"n": 20, "set": 5}, 'field "set" must be a list of integers'),
+        "C_REAL": ({"n": 7, "terms": [{"c": 1.0, "poly": [0, 1]}]},
+                   'field "c" must be an [re, im] pair'),
+        "C_SHORT": ({"n": 7, "terms": [{"c": [1.0], "poly": [0, 1]}]},
+                    'field "c" must be an [re, im] pair'),
+        "N_HUGE": ('{"n": 1e400, "set": [1]}', 'field "n" must be an integer'),
+        "TOP_NUMBER": ("5", "function JSON must be an object"),
+        "VALUE_INT": ({"order": 0, "M": 1.0, "func": {"n": 7, "re": [0.5] * 7}, "value": 5},
+                      'field "value" must be an [re, im] pair'),
+        "SET_STR": ({"n": 7, "set": "135"}, 'field "set" must be a list of integers'),
+        "N_FLOAT": ({"n": 7.9, "set": [1]}, 'field "n" must be an integer'),
+        "LABELS_FLOAT": ({"n": 5, "labels": [0.5, 1.5, 0, 0, 0]},
+                         'field "labels" must be a list of integers'),
+        "N_BOOL": ({"n": True, "m": 2, "colours": [1]}, 'field "n" must be an integer'),
+        "RE_STR": ({"n": 7, "re": [0.0] * 6 + ["x"]}, 'field "re" must be a list of numbers'),
+        "NOT_JSON": ("{n: 7}", "is not UTF-8 JSON"),
+        "NOT_UTF8": (b'{"n": 7, "set": [\xff]}', "is not UTF-8 JSON"),
+        "COLOUR_STR": ({"n": 3, "m": 2, "colours": [1, "a", 2]},
+                       'field "colours" must be a list of integers'),
+        "F5": ({"n": 5, "set": [0, 1]}, "different lengths"),
+        "F7": ({"n": 7, "set": [0, 2, 3]}, ""),
     }
-    paths = {k: write(tmp_path, f"{k}.json", obj) for k, (obj, _) in files.items()}
-    rc, err = run_json(capsys, [paths.get(a, a) for a in argv])
+    paths = {}
+    for key, (obj, _) in files.items():
+        paths[key] = tmp_path / f"{key}.json"
+        raw = obj if isinstance(obj, (str, bytes)) else json.dumps(obj)
+        paths[key].write_bytes(raw.encode() if isinstance(raw, str) else raw)
+    rc, err = run_json(capsys, [str(paths[a]) if a in paths else a for a in argv])
     assert rc == 1
-    assert err["error"]["type"] == "InvalidConfigurationError"
+    want = "DimensionMismatchError" if "F5" in argv else "InvalidConfigurationError"
+    assert err["error"]["type"] == want
     for key, (_, named) in files.items():
         if key in argv:
             assert named in err["error"]["message"]
+
+
+# one valid input of each kind, N <= 13; CERT is written by `uap dual`
+VALID = {
+    "F": {"n": 7, "re": [0.5, 0.25, 1.0, 0.0, 0.75, 0.5, 0.625], "im": [0.0] * 7},
+    "S": {"n": 7, "set": [0, 2, 3]},
+    "T": {"n": 7, "terms": [{"c": [0.5, 0.0], "poly": [0, 1, 2]}, {"c": [0.0, 0.5], "poly": [3]}]},
+    "P": {"n": 7, "labels": [0, 0, 1, 1, 2, 2, 0]},
+    "COL": {"n": 8, "m": 2, "colours": [1, 1, 2, 2, 1, 1, 2, 2]},
+}
+# every verb that reads a file, with its input slots named by VALID keys
+FILE_VERBS = [
+    ["gowers", "norm", "--input", "T", "--order", "2"],
+    ["gowers", "dual", "--input", "S", "--order", "2"],
+    ["gowers", "vnn", "--inputs", "F", "S", "--lambdas", "1", "2"],
+    ["uap", "verify", "--cert", "CERT"],
+    ["uap", "dual", "--input", "T", "--order", "2"],
+    ["uap", "audit", "--input", "T", "--cert", "CERT"],
+    ["partition", "join", "--inputs", "P", "P"],
+    ["partition", "condexp", "--input", "S", "--partition", "P"],
+    ["partition", "energy", "--inputs", "F", "--partition", "P"],
+    ["levelset", "build", "--g", "T", "--g", "CERT", "--eps", "0.25"],
+    ["structure", "decompose", "--input", "F", "--k", "3", "--delta", "0.3"],
+    ["recur", "average", "--input", "S", "--k", "3"],
+    ["recur", "find-ap", "--input", "S", "--k", "3"],
+    ["recur", "net", "--inputs", "F", "T", "--theta", "0.5"],
+    ["recur", "sample", "--inputs", "T", "S", "--weights", "0.5", "0.5", "--d", "4"],
+    ["vdw", "check", "--colouring", "COL", "--k", "3"],
+]
+OTHER_TYPE = [None, True, 0.5, 3, "x", [], {}]
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """The valid inputs as objects and as files, and a fresh file name per
+    call: rewriting one file in place is far slower than making a new one."""
+    work = tmp_path_factory.mktemp("valid")
+    paths = {key: write(work, f"{key}.json", obj) for key, obj in VALID.items()}
+    paths["CERT"] = str(work / "CERT.json")
+    assert main(["uap", "dual", "--input", paths["T"], "--order", "2", "--out", paths["CERT"]]) == 0
+    inputs = {**VALID, "CERT": json.loads(Path(paths["CERT"]).read_text())}
+    fresh = (str(work / f"mutant{i}.json") for i in itertools.count())
+    return inputs, paths, fresh
+
+
+def mutate(data, obj):
+    """At a drawn node of the JSON tree (the root included): drop a key,
+    swap in a value of another JSON type, or resize a list by dropping or
+    repeating an element.  No number is enlarged."""
+    root = [obj]
+    holder, key = root, 0
+    while True:
+        node = holder[key]
+        if isinstance(node, dict):
+            inner = sorted(node)
+        else:
+            inner = range(len(node)) if isinstance(node, list) else ()
+        if not inner or data.draw(st.booleans()):
+            break
+        holder, key = node, data.draw(st.sampled_from(inner))
+    ops = ["swap"]
+    if node and isinstance(node, dict):
+        ops.append("drop")
+    if node and isinstance(node, list):
+        ops.append("resize")
+    op = data.draw(st.sampled_from(ops))
+    if op == "swap":
+        other = [v for v in OTHER_TYPE if type(v) is not type(node)]
+        holder[key] = copy.deepcopy(data.draw(st.sampled_from(other)))
+    elif op == "drop":
+        del node[data.draw(st.sampled_from(sorted(node)))]
+    elif data.draw(st.booleans()):
+        node.append(copy.deepcopy(node[data.draw(st.integers(0, len(node) - 1))]))
+    else:
+        del node[data.draw(st.integers(0, len(node) - 1))]
+    return root[0]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_malformed_inputs_end_in_one_envelope(valid_inputs, data):
+    """A valid input with one field dropped, retyped or resized, or with
+    a non-object top level, exits 0, or exits 1 with one envelope line on
+    stdout and nothing on stderr; no exception escapes main."""
+    inputs, paths, fresh = valid_inputs
+    argv = data.draw(st.sampled_from(FILE_VERBS))
+    slot = data.draw(st.sampled_from([i for i, a in enumerate(argv) if a in inputs]))
+    mutant = next(fresh)
+    Path(mutant).write_text(json.dumps(mutate(data, copy.deepcopy(inputs[argv[slot]]))))
+    argv = [mutant if i == slot else paths.get(a, a) for i, a in enumerate(argv)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert err.getvalue() == ""
+    if rc == 1:
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 1 and sorted(json.loads(lines[0])) == ["error", "seed", "version"]
+    else:
+        assert rc == 0
 
 
 def test_vdw_bound(capsys):

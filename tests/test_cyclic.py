@@ -4,7 +4,6 @@ import pytest
 import gowers_lab as gl
 from gowers_lab.errors import (
     DimensionMismatchError,
-    EmptyDomainError,
     InvalidDilationError,
     NotPrimeError,
 )
@@ -86,9 +85,6 @@ def test_expectation_and_norms():
     rng = np.random.default_rng(3)
     f = random_function(rng, 13)
     assert gl.expectation(f) == pytest.approx(np.mean(f.values))
-    assert gl.expectation(f, [0, 1, 2]) == pytest.approx(np.mean(f.values[:3]))
-    with pytest.raises(EmptyDomainError):
-        gl.expectation(f, [])
     assert gl.l2_norm(f) == pytest.approx(np.sqrt(np.mean(np.abs(f.values) ** 2)))
     assert gl.linf_norm(f) == pytest.approx(np.max(np.abs(f.values)))
     g = random_function(rng, 13)

@@ -358,6 +358,8 @@ def verify_loop(cf, tol=1e-9):
         if cert.weights is None or cert.columns is None or cert.coeffs is None:
             raise CertificateInvalidError("missing weights/columns/coefficients", path)
         w = np.asarray(cert.weights, dtype=float)
+        if w.shape != (len(cert.columns),):
+            raise CertificateInvalidError("weights and columns differ in number", path)
         if np.any(w < -tol):
             raise CertificateInvalidError("negative weight", path)
         if not abs(float(w.sum()) - 1.0) <= tol * max(1, len(w)):
@@ -389,6 +391,8 @@ def verify_loop(cf, tol=1e-9):
                             "coefficient of an order >= 2 node must be certified",
                             path + (i, j),
                         )
+                    if sub.n != node.n:
+                        raise CertificateInvalidError("coefficient on wrong group", path + (i, j))
                     if sub.cert.order != cert.order - 1:
                         raise CertificateInvalidError(
                             f"coefficient order {sub.cert.order}, expected {cert.order - 1}",
@@ -528,6 +532,8 @@ MEMBER_CORRUPTIONS = [
     ("negative weight", 1, lambda x: _recert(x, weights=np.r_[-0.25, 1.25, np.zeros(5)]),
      "negative weight"),
     ("weight sum", 1, lambda x: _recert(x, weights=0.5 * x.cert.weights), "weights sum"),
+    ("weight count", 1, lambda x: _recert(x, weights=np.r_[x.cert.weights, 0.0]),
+     "weights and columns differ"),
     ("wrong group", 1, lambda x: _with_column(x, 3, gl.GroupFunction.constant(5, 0.5)),
      "column on wrong group"),
     ("unbounded column", 1, lambda x: _with_column(x, 4, gl.GroupFunction.constant(7, 1.01)),
@@ -541,6 +547,9 @@ MEMBER_CORRUPTIONS = [
     ("row length", 2, lambda x: _with_coeff_rows(x, _short_row), "row length"),
     ("uncertified", 2, lambda x: _with_coeff_rows(x, _set_slot(lambda c: 0.5)),
      "must be certified"),
+    ("sub group", 2, lambda x: _with_coeff_rows(
+        x, _set_slot(lambda c: gl.cert_promote(gl.certify_constant(5, 0.5), 1))),
+     "coefficient on wrong group"),
     ("sub order", 2, lambda x: _with_coeff_rows(x, _set_slot(lambda c: gl.cert_promote(c, 2))),
      "coefficient order 2, expected 1"),
     ("sub bound", 2, lambda x: _with_coeff_rows(x, _set_slot(lambda c: gl.raise_bound(c, 2.0))),
