@@ -74,9 +74,12 @@ def _load_function(path: str) -> GroupFunction:
 
 
 def _certify_input(obj: dict) -> CertifiedFunction:
-    """Certificate JSON passes through; a bare function gets its spectral certificate."""
+    """Certificate JSON passes through once it verifies at the default tol;
+    a bare function gets its spectral certificate."""
     if isinstance(obj, dict) and "order" in obj and "M" in obj:
-        return certificate_from_json(obj)
+        cf = certificate_from_json(obj)
+        verify_certificate(cf)
+        return cf
     return certify_spectrum(function_from_json(obj))
 
 

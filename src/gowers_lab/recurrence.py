@@ -177,7 +177,8 @@ def empirical_c(
 
 def find_k_ap_in_set(members, k: int):
     """Lexicographically least proper integer progression (a, r, k) in a
-    set of integers, or None; exhaustive scan."""
+    set of integers, or None.  Exhaustive over the steps r = b - a between
+    members b > a, so O(|set|^2 k) however wide the set's span."""
     if k < 1:
         raise InvalidConfigurationError("k must be at least 1")
     s = set(int(m) for m in members)
@@ -186,11 +187,10 @@ def find_k_ap_in_set(members, k: int):
     elems = sorted(s)
     if k == 1:
         return (elems[0], 1, 1)
-    top = elems[-1]
-    for a in elems:
-        max_r = (top - a) // (k - 1) if k > 1 else 0
-        for r in range(1, max_r + 1):
-            if all(a + j * r in s for j in range(k)):
+    for i, a in enumerate(elems):
+        for b in elems[i + 1:]:  # ascending, so r ascends; a and a + r = b are members
+            r = b - a
+            if all(a + j * r in s for j in range(2, k)):
                 return (a, r, k)
     return None
 

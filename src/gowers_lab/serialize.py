@@ -138,7 +138,8 @@ def colouring_from_json(obj) -> Colouring:
 
 
 def certificate_to_json(cf: CertifiedFunction) -> dict:
-    """Recursive tree; structural sharing is expanded on output."""
+    """Recursive tree; each node's rows are written through its offset, and
+    structural sharing is expanded on output."""
     cert = cf.cert
     out = {
         "order": cert.order,
@@ -151,12 +152,10 @@ def certificate_to_json(cf: CertifiedFunction) -> dict:
     out["weights"] = np.asarray(cert.weights, float).tolist()
     out["columns"] = [function_to_json(g) for g in cert.columns]
     if cert.order == 1:
-        coeff = np.asarray(cert.coeffs)
+        coeff = cf.rows
         out["coeffs"] = np.stack([coeff.real, coeff.imag], -1).tolist()
     else:
-        out["coeffs"] = [
-            [certificate_to_json(c) for c in row] for row in cert.coeffs
-        ]
+        out["coeffs"] = [[certificate_to_json(c) for c in row] for row in cf.rows]
     return out
 
 

@@ -14,12 +14,12 @@ certificate only ever asserts an upper bound.
 
 Storage convention: for an order-1 certificate the coefficients are a
 dense complex matrix indexed (n, h); for order >= 2 they are nested
-CertifiedFunction nodes, shared structurally where the constructions
-allow.  certify_dual keeps that sharing: the N shifts of a sub-certificate
-(cert_shift) hold one columns tuple, one weights array and the same
-coefficient rows.  verify_certificate checks each row once, the weights
-and columns once per column set, and the reconstructions of a column set
-in one stacked product.
+CertifiedFunction nodes.  A CertifiedFunction reads its certificate
+through an offset: its row i is stored row i + offset.  So a shift is an
+offset, not a copy: cert_shift returns the same certificate object, and
+the N shifts of a sub-certificate in certify_dual share it.
+verify_certificate checks each certificate object once, and each node
+holding it against its stored rows read through the node's offset.
 """
 from __future__ import annotations
 
@@ -47,7 +47,7 @@ from .errors import (
     ResourceLimitError,
     UnsupportedOrderError,
 )
-from .gowers import _BLOCK, _shift_table, fourier_coefficients, gowers_norm
+from .gowers import _shift_table, fourier_coefficients, gowers_norm
 
 
 @dataclass(eq=False)
@@ -68,6 +68,14 @@ class CertifiedFunction:
 
     func: GroupFunction
     cert: UapCertificate
+    offset: int = 0  # row i of this function is stored row i + offset
+
+    @property
+    def rows(self):
+        """The coefficient rows of an order >= 1 certificate, read through
+        the offset (a fresh matrix at order 1, a tuple of rows above)."""
+        c, s = self.cert.coeffs, self.offset
+        return np.concatenate((c[s:], c[:s])) if self.cert.order == 1 else c[s:] + c[:s]
 
     @property
     def n(self) -> int:
@@ -112,183 +120,115 @@ class VerificationReport:
     total_nodes: int
 
 
-# the stages of one node's checks, in the order the failure is reported
-_PRE, _SET, _COEFF, _RECON = range(4)
-
-
 def verify_certificate(
     cf: CertifiedFunction, tol: float = DEFAULT_TOL
 ) -> VerificationReport:
     """Re-check every layer of a certificate; raise on the first failure.
 
-    A depth-first walk visits each distinct node once (shared subtrees are
-    verified once) and runs its own checks: the bound, the order-0
-    constant, the coefficient structure.  Nodes that share one column set,
-    that is the same columns, weights, order and N, as the N shifts of a
-    sub-certificate built by certify_dual do, get the weight and column
-    checks once per set, and their reconstructions are checked in one
-    stacked product per block.  The failure raised is the one met first:
-    the earliest node in walk order, and within a node the first of
-    bound, weights, columns, coefficients, reconstruction.  The returned
-    report carries the worst reconstruction error seen, the tree depth,
-    and the number of distinct nodes.  Every comparison is written so
-    that a NaN bound, constant, weight, coefficient or value fails it.
+    A depth-first walk visits each distinct node once.  At the first node
+    that holds a certificate object it checks that certificate in full
+    (_check) and pushes its sub-certificates; every node holding it then
+    compares T^i F with row i + offset of the certificate's reconstruction
+    table.  The failure raised is the one met first: the earliest node in
+    walk order, and within a node the first of bound, constant, weights,
+    columns, coefficients, reconstruction.  The returned report carries
+    the worst reconstruction error seen, the tree depth, and the number of
+    distinct nodes.  Every comparison is written so that a NaN bound,
+    constant, weight, coefficient or value fails it.
     """
-    nodes, paths, depth, worst, fails = _walk(cf, tol)
-    done = fails[0][0] if fails else len(nodes)  # nodes before it passed the walk
-    sets: dict = {}
-    for k, node in enumerate(nodes):
-        cert = node.cert
-        if cert.order == 0 or (k == done and fails[0][1] == _PRE):
-            continue
-        key = (id(cert.columns), id(cert.weights), cert.order, node.n)
-        sets.setdefault(key, []).append(k)
-    for members in sets.values():
-        worst = max(worst, _check_set(nodes, members, tol, done, fails))
-    if fails:
-        k, _, message, slot = min(fails, key=lambda fail: fail[:2])
-        raise CertificateInvalidError(message, paths[k] + slot)
-    return VerificationReport(worst, depth, len(nodes))
-
-
-def _walk(cf: CertifiedFunction, tol: float):
-    """Depth-first walk over the distinct nodes, checking each node on its
-    own; it stops at the first node that fails such a check.  Returns the
-    nodes in walk order, their paths, the depth, the worst order-0 error
-    and the failure as [(index, stage, message, slot)].
-
-    A row of sub-certificates is checked and pushed once however many
-    nodes hold it (cert_shift re-indexes rows without copying them).  A
-    node that meets the row again has the same order, so it lies outside
-    the first holder's subtree, which the walk has finished: every entry
-    of the row is visited by then."""
-    nodes, paths, seen, rows = [], [], set(), set()
+    tables, seen = {}, set()  # a certificate's table, by id
     depth, worst = 0, 0.0
+    idx = _shift_table(cf.n)  # _check passes no sub-certificate on another group
     stack = [(cf, 0, ("root",))]
     while stack:
         node, dep, path = stack.pop()
         if id(node) in seen:
             continue
         seen.add(id(node))
-        nodes.append(node)
-        paths.append(path)
         depth = max(depth, dep)
         cert = node.cert
-        atol = tol * max(1.0, cert.bound)
-        fail = None
-        if not cert.bound >= 0:
-            fail = _PRE, "negative bound", ()
-        elif cert.order == 0:
-            if cert.value is None:
-                fail = _PRE, "order-0 node without a constant", ()
-            elif not abs(cert.value) <= cert.bound + atol:
-                fail = (_PRE, f"constant modulus {abs(cert.value):.6g} exceeds bound "
-                        f"{cert.bound:.6g}", ())
-            else:
-                err = float(np.max(np.abs(node.func.values - cert.value)))
-                if not err <= atol:
-                    fail = (_PRE, "order-0 function is not the certified constant "
-                            f"(err {err:.3e})", ())
-                worst = max(worst, err)
-        elif cert.weights is None or cert.columns is None or cert.coeffs is None:
-            fail = _PRE, "missing weights/columns/coefficients", ()
-        elif cert.order == 1:
-            shape = np.shape(np.asarray(cert.coeffs, dtype=np.complex128))
-            if shape != (node.n, len(cert.columns)):
-                fail = _COEFF, "coefficient matrix shape mismatch", ()
-        elif len(cert.coeffs) != node.n:
-            fail = _COEFF, "coefficient rows != N", ()
-        else:
-            depth = max(depth, dep + 1)
-            for i, row in enumerate(cert.coeffs):
-                key = (id(row), cert.order, len(cert.columns))
-                if key in rows:
-                    continue
-                fail = _row_failure(row, cert.order, len(cert.columns), node.n, tol)
-                if fail is not None:
-                    fail = _COEFF, fail[0], (i,) + fail[1]
-                    break
-                rows.add(key)
+        if id(cert) not in tables:
+            tables[id(cert)] = _check(node, tol, path)
+            if cert.order >= 2:
+                depth = max(depth, dep + 1)
                 stack.extend((sub, dep + 1, path + (i, j))
-                             for j, sub in enumerate(row) if id(sub) not in seen)
-        if fail is not None:
-            return nodes, paths, depth, worst, [(len(nodes) - 1,) + fail]
-    return nodes, paths, depth, worst, []
-
-
-def _row_failure(row, order: int, h: int, n: int, tol: float):
-    """The first failed check on one row of an order >= 2 node, as
-    (message, slot within the row), or None."""
-    if len(row) != h:
-        return "coefficient row length mismatch", ()
-    for j, sub in enumerate(row):
-        if not isinstance(sub, CertifiedFunction):
-            return "coefficient of an order >= 2 node must be certified", (j,)
-        if sub.n != n:
-            return "coefficient on wrong group", (j,)
-        if sub.cert.order != order - 1:
-            return f"coefficient order {sub.cert.order}, expected {order - 1}", (j,)
-        if not sub.cert.bound <= 1.0 + tol:
-            return f"coefficient bound {sub.cert.bound:.6g} exceeds 1", (j,)
-    return None
-
-
-def _check_set(nodes: list, members: list, tol: float, done: int, fails: list) -> float:
-    """Check one column set: the weights and columns once, at its first
-    member in walk order, then T^i F = M . sum_h w_h c_{i,h} g_h for every
-    member that passed the walk, stacked in blocks of at most _BLOCK
-    complex entries: at order 1 one (B.N, H) @ (H, N) product, at order
-    >= 2 one einsum.  Records each failure; returns the worst error."""
-    first = nodes[members[0]]
-    order, n = first.cert.order, first.n
-    w = np.asarray(first.cert.weights, dtype=float)
-    fail = None
-    if w.shape != (len(first.cert.columns),):
-        fail = "weights and columns differ in number", ()
-    elif np.any(w < -tol):
-        fail = "negative weight", ()
-    elif not abs(float(w.sum()) - 1.0) <= tol * max(1, len(w)):
-        fail = f"weights sum to {w.sum()!r}, not 1", ()
-    else:
-        wrong = [j for j, g in enumerate(first.cert.columns) if g.n != n]
-        if wrong:
-            fail = "column on wrong group", (wrong[0],)
-    if fail is None:
-        cols = np.stack([g.values for g in first.cert.columns])  # (H, N)
-        # the is_bounded test on every column at once; NaN counts as unbounded
-        unbounded = np.flatnonzero(~(np.max(np.abs(cols), axis=1) <= 1.0 + tol))
-        if unbounded.size:
-            fail = f"column {unbounded[0]} unbounded", (int(unbounded[0]),)
-    if fail is not None:
-        fails.append((members[0], _SET) + fail)
-        return 0.0
-    h = cols.shape[0]
-    members = [k for k in members if k < done]
-    certs = [nodes[k].cert for k in members]
-    bounds = np.array([c.bound for c in certs])[:, None, None]
-    atol = np.array([tol * max(1.0, c.bound) for c in certs]) * n
-    funcs = np.array([nodes[k].func.values for k in members])  # (K, N)
-    idx = _shift_table(n)
-    step = max(1, _BLOCK // (n * (max(h, n) if order == 1 else h * n)))
-    worst = 0.0
-    for lo in range(0, len(members), step):
-        hi = lo + step
-        if order == 1:
-            coeff = np.array([c.coeffs for c in certs[lo:hi]], dtype=np.complex128)  # (B, N, H)
-            over = ~(np.max(np.abs(coeff), axis=(1, 2)) <= 1.0 + tol)
-            recon = (bounds[lo:hi] * (coeff * w)).reshape(-1, h) @ cols
+                             for i, row in enumerate(node.rows) for j, sub in enumerate(row))
+        atol = tol * max(1.0, cert.bound)
+        if cert.order == 0:
+            err = float(np.max(np.abs(node.func.values - cert.value)))
+            message = f"order-0 function is not the certified constant (err {err:.3e})"
         else:
-            coeff = np.array([[[s.func.values for s in row] for row in c.coeffs]
-                              for c in certs[lo:hi]])  # (B, N, H, N)
-            over = np.zeros(coeff.shape[0], dtype=bool)
-            recon = bounds[lo:hi] * np.einsum("bihx,hx->bix", coeff, w[:, None] * cols)
-        err = np.max(np.abs(funcs[lo:hi, idx] - recon.reshape(-1, n, n)), axis=(1, 2))
-        for b in np.flatnonzero(over | ~(err <= atol[lo:hi])):
-            k = members[lo + b]
-            fails.append((k, _COEFF, "order-0 coefficient exceeds 1", ()) if over[b] else
-                         (k, _RECON, f"reconstruction error {err[b]:.3e} beyond tolerance", ()))
-        worst = max(worst, *err.tolist())
-    return worst
+            table = tables[id(cert)]
+            err = float(np.max(np.abs(node.func.values[idx] - table[idx[node.offset]])))
+            message, atol = f"reconstruction error {err:.3e} beyond tolerance", atol * cf.n
+        if not err <= atol:
+            raise CertificateInvalidError(message, path)
+        worst = max(worst, err)
+    return VerificationReport(worst, depth, len(seen))
+
+
+def _check(node: CertifiedFunction, tol: float, path: tuple):
+    """Check the certificate that node holds, raising the first failure in
+    the order verify_certificate reports them; a failing coefficient row is
+    named by its index in node's rows.  Returns the reconstruction table,
+    row r = M . sum_h w_h c_{r,h} g_h over the stored rows r (None at
+    order 0)."""
+    cert, n = node.cert, node.n
+    if cert.bound == np.inf:
+        raise CertificateInvalidError("infinite bound", path)
+    if not cert.bound >= 0:
+        raise CertificateInvalidError("negative bound", path)
+    if cert.order == 0:
+        if cert.value is None:
+            raise CertificateInvalidError("order-0 node without a constant", path)
+        if not abs(cert.value) <= cert.bound + tol * max(1.0, cert.bound):
+            raise CertificateInvalidError(
+                f"constant modulus {abs(cert.value):.6g} exceeds bound {cert.bound:.6g}", path)
+        return None
+    if cert.weights is None or cert.columns is None or cert.coeffs is None:
+        raise CertificateInvalidError("missing weights/columns/coefficients", path)
+    w, h = np.asarray(cert.weights, dtype=float), len(cert.columns)
+    if w.shape != (h,):
+        raise CertificateInvalidError("weights and columns differ in number", path)
+    if np.any(w < -tol):
+        raise CertificateInvalidError("negative weight", path)
+    if not abs(float(w.sum()) - 1.0) <= tol * max(1, h):
+        raise CertificateInvalidError(f"weights sum to {w.sum()!r}, not 1", path)
+    for j, g in enumerate(cert.columns):
+        if g.n != n:
+            raise CertificateInvalidError("column on wrong group", path + (j,))
+    cols = np.stack([g.values for g in cert.columns])  # (H, N)
+    # the is_bounded test on every column at once; NaN counts as unbounded
+    unbounded = np.flatnonzero(~(np.max(np.abs(cols), axis=1) <= 1.0 + tol))
+    if unbounded.size:
+        j = int(unbounded[0])
+        raise CertificateInvalidError(f"column {j} unbounded", path + (j,))
+    if cert.order == 1:
+        coeff = np.asarray(cert.coeffs, dtype=np.complex128)
+        if coeff.shape != (n, h):
+            raise CertificateInvalidError("coefficient matrix shape mismatch", path)
+        if not np.max(np.abs(coeff)) <= 1.0 + tol:
+            raise CertificateInvalidError("order-0 coefficient exceeds 1", path)
+        return cert.bound * (coeff * w) @ cols
+    if len(cert.coeffs) != n:
+        raise CertificateInvalidError("coefficient rows != N", path)
+    for i, row in enumerate(node.rows):
+        if len(row) != h:
+            raise CertificateInvalidError("coefficient row length mismatch", path + (i,))
+        for j, sub in enumerate(row):
+            if not isinstance(sub, CertifiedFunction):
+                message = "coefficient of an order >= 2 node must be certified"
+            elif sub.n != n:
+                message = "coefficient on wrong group"
+            elif sub.cert.order != cert.order - 1:
+                message = f"coefficient order {sub.cert.order}, expected {cert.order - 1}"
+            elif not sub.cert.bound <= 1.0 + tol:
+                message = f"coefficient bound {sub.cert.bound:.6g} exceeds 1"
+            else:
+                continue
+            raise CertificateInvalidError(message, path + (i, j))
+    coeff = np.array([[sub.func.values for sub in row] for row in cert.coeffs])  # (N, H, N)
+    return cert.bound * np.einsum("ihx,hx->ix", coeff, w[:, None] * cols)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +267,7 @@ def cert_scale(cf: CertifiedFunction, sigma: complex) -> CertifiedFunction:
         new = UapCertificate(0, bound, value=cert.value * sigma)
     else:
         new = _rescaled(cert, bound, _phase_of(sigma))
-    return CertifiedFunction(func, new)
+    return CertifiedFunction(func, new, cf.offset)
 
 
 def raise_bound(cf: CertifiedFunction, new_bound: float) -> CertifiedFunction:
@@ -341,7 +281,7 @@ def raise_bound(cf: CertifiedFunction, new_bound: float) -> CertifiedFunction:
         new = UapCertificate(0, float(new_bound), value=cert.value)
     else:  # the ratio is 0 when the old bound was 0: zero function
         new = _rescaled(cert, float(new_bound), cert.bound / new_bound)
-    return CertifiedFunction(cf.func, new)
+    return CertifiedFunction(cf.func, new, cf.offset)
 
 
 def _require_same(a: CertifiedFunction, b: CertifiedFunction):
@@ -353,16 +293,16 @@ def _require_same(a: CertifiedFunction, b: CertifiedFunction):
         )
 
 
-def _concat(a: UapCertificate, b: UapCertificate, wa: float, wb: float,
+def _concat(a: CertifiedFunction, b: CertifiedFunction, wa: float, wb: float,
             bound: float) -> UapCertificate:
     """One node over the columns of a then b, their weights mixed wa : wb."""
-    weights = np.concatenate([wa * a.weights, wb * b.weights])
+    weights = np.concatenate([wa * a.cert.weights, wb * b.cert.weights])
     if a.order == 1:
-        coeffs = np.hstack([np.asarray(a.coeffs), np.asarray(b.coeffs)])
+        coeffs = np.hstack([a.rows, b.rows])
     else:
-        coeffs = tuple(ra + rb for ra, rb in zip(a.coeffs, b.coeffs))
+        coeffs = tuple(ra + rb for ra, rb in zip(a.rows, b.rows))
     return UapCertificate(a.order, bound, weights=weights,
-                          columns=a.columns + b.columns, coeffs=coeffs)
+                          columns=a.cert.columns + b.cert.columns, coeffs=coeffs)
 
 
 def cert_add(a: CertifiedFunction, b: CertifiedFunction, theta: float) -> CertifiedFunction:
@@ -375,7 +315,7 @@ def cert_add(a: CertifiedFunction, b: CertifiedFunction, theta: float) -> Certif
     if a.cert.order == 0:
         value = (1 - theta) * a.cert.value + theta * b.cert.value
         return CertifiedFunction(func, UapCertificate(0, m, value=value))
-    cert = _concat(raise_bound(a, m).cert, raise_bound(b, m).cert, 1 - theta, theta, m)
+    cert = _concat(raise_bound(a, m), raise_bound(b, m), 1 - theta, theta, m)
     return CertifiedFunction(func, cert)
 
 
@@ -389,7 +329,7 @@ def cert_sum(a: CertifiedFunction, b: CertifiedFunction) -> CertifiedFunction:
     if a.cert.order == 0:
         value = a.cert.value + b.cert.value
         return CertifiedFunction(func, UapCertificate(0, total, value=value))
-    cert = _concat(a.cert, b.cert, a.bound / total, b.bound / total, total)
+    cert = _concat(a, b, a.bound / total, b.bound / total, total)
     return CertifiedFunction(func, cert)
 
 
@@ -407,12 +347,11 @@ def cert_multiply(a: CertifiedFunction, b: CertifiedFunction) -> CertifiedFuncti
         for gb in b.cert.columns
     )
     if a.cert.order == 1:
-        ca, cb = np.asarray(a.cert.coeffs), np.asarray(b.cert.coeffs)
-        coeffs = np.einsum("nh,nk->nhk", ca, cb).reshape(a.n, -1)
+        coeffs = np.einsum("nh,nk->nhk", a.rows, b.rows).reshape(a.n, -1)
     else:
         coeffs = tuple(
             tuple(cert_multiply(x, y) for x in ra for y in rb)
-            for ra, rb in zip(a.cert.coeffs, b.cert.coeffs)
+            for ra, rb in zip(a.rows, b.rows)
         )
     cert = UapCertificate(
         a.cert.order, a.bound * b.bound, weights=weights, columns=columns, coeffs=coeffs
@@ -421,20 +360,8 @@ def cert_multiply(a: CertifiedFunction, b: CertifiedFunction) -> CertifiedFuncti
 
 
 def cert_shift(cf: CertifiedFunction, s: int) -> CertifiedFunction:
-    """Certificate for T^s F: coefficient rows re-index, columns unchanged."""
-    cert = cf.cert
-    s = int(s) % cf.n
-    func = shift(cf.func, s)
-    if cert.order == 0:
-        return CertifiedFunction(func, cert)
-    if cert.order == 1:
-        coeffs = np.asarray(cert.coeffs)
-        coeffs = np.concatenate((coeffs[s:], coeffs[:s]))  # np.roll by -s, without its overhead
-    else:
-        coeffs = tuple(cert.coeffs[(i + s) % cf.n] for i in range(cf.n))
-    new = UapCertificate(cert.order, cert.bound, weights=cert.weights,
-                         columns=cert.columns, coeffs=coeffs)
-    return CertifiedFunction(func, new)
+    """Certificate for T^s F: the same certificate, read s rows further on."""
+    return CertifiedFunction(shift(cf.func, s), cf.cert, (cf.offset + int(s)) % cf.n)
 
 
 def cert_conj(cf: CertifiedFunction) -> CertifiedFunction:
@@ -451,7 +378,7 @@ def cert_conj(cf: CertifiedFunction) -> CertifiedFunction:
         coeffs = tuple(tuple(cert_conj(c) for c in row) for row in cert.coeffs)
     new = UapCertificate(cert.order, cert.bound, weights=cert.weights,
                          columns=columns, coeffs=coeffs)
-    return CertifiedFunction(func, new)
+    return CertifiedFunction(func, new, cf.offset)
 
 
 def cert_promote(cf: CertifiedFunction, order: int) -> CertifiedFunction:
@@ -480,9 +407,8 @@ def _promote_one(cf: CertifiedFunction) -> CertifiedFunction:
         sub = cert_zero(n, cert.order)
         coeffs = tuple((sub,) for _ in range(n))
     else:
-        coeffs = tuple(
-            (cert_scale(cert_shift(cf, i), 1.0 / cert.bound),) for i in range(n)
-        )
+        scaled = cert_scale(cf, 1.0 / cert.bound)
+        coeffs = tuple((cert_shift(scaled, i),) for i in range(n))
     new = UapCertificate(cert.order + 1, cert.bound, weights=np.array([1.0]),
                          columns=(GroupFunction.constant(n, 1.0),), coeffs=coeffs)
     return CertifiedFunction(cf.func, new)
@@ -578,9 +504,9 @@ def certify_dual(
 
     using conj(D_{d-1}(g)) = D_{d-1}(conj(g)), which holds because every
     derivative commutes with conjugation.  So the coefficient at (i, h)
-    depends on h - i only: the N shifts of one sub-certificate share its
-    columns and weights, and the N sub-certificates fill the N^2
-    coefficient slots.  The function itself is assembled from the same
+    depends on h - i only: the N^2 coefficient slots hold the N shifts of
+    each of N sub-certificates, and the shifts of one share its certificate
+    object, read at N offsets.  The function itself is assembled from the same
     sub-certificates at i = 0, so every sub-dual is computed once.
     """
     if d < 1:

@@ -408,6 +408,34 @@ def test_levelset_build(tmp_path, capsys):
     assert env["report"]["diagnostics"]["boundary_mass"] == want.boundary_mass()
 
 
+# a certificate input that fails verification: an order-0 function that is
+# not its constant, and a `uap dual` output whose "M" is the Infinity literal
+BAD_CERTS = [
+    ("not-constant", lambda dual: {"order": 0, "M": 0.25, "value": [0, 0], "func": {
+        "n": 7, "re": [1, 0, 0, 0.5, 0, 0, 0], "im": [0] * 7}},
+     "order-0 function is not the certified constant"),
+    ("infinite-M", lambda dual: {**dual, "M": float("inf")}, "infinite bound"),
+]
+
+
+@pytest.mark.parametrize("case", BAD_CERTS, ids=[c[0] for c in BAD_CERTS])
+def test_bad_certificate_inputs_exit_one_with_empty_stderr(tmp_path, case):
+    """`uap verify` and `levelset build` reject the certificate with the
+    verifier's message, before any arithmetic can warn on stderr."""
+    _, make, message = case
+    f = write(tmp_path, "f.json", {"n": 7, "re": [0.5, 0.25, 1.0, 0.0, 0.75, 0.5, 0.625]})
+    cert = str(tmp_path / "cert.json")
+    assert main(["uap", "dual", "--input", f, "--order", "2", "--out", cert]) == 0
+    dual = json.loads(Path(cert).read_text())["report"]
+    Path(cert).write_text(json.dumps(make(dual)))  # json writes inf as Infinity
+    for argv in (["uap", "verify", "--cert", cert], ["levelset", "build", "--g", cert, "--eps", "0.25"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        assert (rc, err.getvalue()) == (1, "")
+        assert json.loads(out.getvalue())["error"]["message"].startswith(message)
+
+
 # ---------------------------------------------------------------------------
 # structure group
 
@@ -767,11 +795,12 @@ def test_certificate_round_trip_order_one():
 
 
 def test_certificate_round_trip_nested():
-    """A dual at order 2 and a phase sum promoted to order 3."""
+    """A dual at order 2, a phase sum promoted to order 3, and a shifted dual."""
     rng = gl.derive_rng(5, "cli-roundtrip")
     f = gl.GroupFunction(7, (rng.uniform(-1, 1, 7) + 1j * rng.uniform(-1, 1, 7)) / 2)
     promoted = gl.cert_promote(gl.certify_phase_sum(7, [(0.5, (0, 1)), (0.25j, (0, 3))]), 3)
-    for cf, order in ((gl.certify_dual(f, 3), 2), (promoted, 3)):
+    shifted = gl.cert_shift(gl.certify_dual(f, 3), 3)  # a root read at a non-zero offset
+    for cf, order in ((gl.certify_dual(f, 3), 2), (promoted, 3), (shifted, 2)):
         obj = gl.certificate_to_json(cf)
         back = gl.certificate_from_json(json.loads(json.dumps(obj)))
         assert back.cert.order == order

@@ -246,8 +246,30 @@ def test_find_k_ap_lex_least():
     assert gl.find_k_ap_in_set([5, 9, 2], 1) == (2, 1, 1)
     assert gl.find_k_ap_in_set([0, 1, 3, 7], 3) is None
     assert gl.find_k_ap_in_set([], 2) is None
+    # four members across the whole int64 range: the scan is over member pairs, not the span
+    assert gl.find_k_ap_in_set([-5, 2 ** 62, 3, 2 ** 63 - 1], 3) is None
     with pytest.raises(InvalidConfigurationError):
         gl.find_k_ap_in_set([1, 2], 0)
+
+
+def find_k_ap_span_scan(members, k):
+    """Reference: for each member a, every step r up to (max - a)/(k - 1)."""
+    s = set(members)
+    if not s:
+        return None
+    if k == 1:
+        return (min(s), 1, 1)
+    for a in sorted(s):
+        for r in range(1, (max(s) - a) // (k - 1) + 1):
+            if all(a + j * r in s for j in range(k)):
+                return (a, r, k)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(members=st.lists(st.integers(-40, 40), max_size=12), k=st.integers(1, 5))
+def test_find_k_ap_matches_span_scan(members, k):
+    assert gl.find_k_ap_in_set(members, k) == find_k_ap_span_scan(members, k)
 
 
 # ---------------------------------------------------------------------------

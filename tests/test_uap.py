@@ -288,9 +288,8 @@ def test_structural_sharing_in_dual():
     rng = np.random.default_rng(15)
     f = bounded_function(rng, 11)
     cf = gl.certify_dual(f, 3)
-    seen = {id(c.cert.coeffs) for row in cf.cert.coeffs for c in row}
-    # n^2 slots share far fewer coefficient payloads than slots
-    assert len(seen) <= 11 * 11
+    # the n^2 slots hold n stored certificates, each read at n offsets
+    assert len({id(c.cert) for row in cf.cert.coeffs for c in row}) == 11
     rep = gl.verify_certificate(cf, 1e-9)
     assert rep.total_nodes <= 2 * 11 * 11
 
@@ -322,6 +321,15 @@ def certify_dual_conj_ref(f, d):
     return gl.CertifiedFunction(gl.GroupFunction(n, dual), cert)
 
 
+def _rows(cf):
+    """The coefficient rows of cf read through its offset: row i is stored
+    row i + offset."""
+    stored = cf.cert.coeffs
+    if cf.cert.order == 1:
+        return np.roll(np.asarray(stored, dtype=np.complex128), -cf.offset, axis=0)
+    return [stored[k] for k in np.roll(np.arange(len(stored)), -cf.offset)]
+
+
 def verify_loop(cf, tol=1e-9):
     """The verifier as it was, with every comparison written so that NaN
     fails it: every check on one node at a time."""
@@ -337,6 +345,8 @@ def verify_loop(cf, tol=1e-9):
         seen[id(node)] = None
         cert = node.cert
         atol = tol * max(1.0, cert.bound)
+        if cert.bound == np.inf:
+            raise CertificateInvalidError("infinite bound", path)
         if not cert.bound >= 0:
             raise CertificateInvalidError("negative bound", path)
         if cert.order == 0:
@@ -378,11 +388,13 @@ def verify_loop(cf, tol=1e-9):
                 raise CertificateInvalidError("coefficient matrix shape mismatch", path)
             if not np.max(np.abs(coeff)) <= 1.0 + tol:
                 raise CertificateInvalidError("order-0 coefficient exceeds 1", path)
+            coeff = _rows(node)
             recon = cert.bound * (coeff * cert.weights[None, :]) @ cols
         else:
             if len(cert.coeffs) != node.n:
                 raise CertificateInvalidError("coefficient rows != N", path)
-            for i, row in enumerate(cert.coeffs):
+            rows = _rows(node)
+            for i, row in enumerate(rows):
                 if len(row) != len(cert.columns):
                     raise CertificateInvalidError("coefficient row length mismatch", path + (i,))
                 for j, sub in enumerate(row):
@@ -404,7 +416,7 @@ def verify_loop(cf, tol=1e-9):
                             path + (i, j),
                         )
                     stack.append((sub, depth + 1, path + (i, j)))
-            coeff = np.array([[c.func.values for c in row] for row in cert.coeffs])
+            coeff = np.array([[c.func.values for c in row] for row in rows])
             recon = cert.bound * np.einsum("ihx,hx->ix", coeff, cert.weights[:, None] * cols)
         shifted = node.func.values[_shift_table(node.n)]
         err = float(np.max(np.abs(shifted - recon)))
@@ -442,9 +454,9 @@ def tree_digest(cf, memo):
             for g in cert.columns:
                 h.update(g.values.tobytes())
             if cert.order == 1:
-                h.update(np.asarray(cert.coeffs, dtype=np.complex128).tobytes())
+                h.update(_rows(cf).tobytes())
             else:
-                for c in (c for row in cert.coeffs for c in row):
+                for c in (c for row in _rows(cf) for c in row):
                     h.update(tree_digest(c, memo).encode())
         memo[id(cf)] = h.hexdigest()
     return memo[id(cf)]
@@ -476,7 +488,7 @@ def _replace(cf, path, make):
     if len(path) == 1:
         return make(cf)
     i, j = path[1], path[2]
-    rows = [list(r) for r in cf.cert.coeffs]
+    rows = [list(r) for r in _rows(cf)]
     rows[i][j] = _replace(rows[i][j], ("root",) + tuple(path[3:]), make)
     cert = cf.cert
     new = gl.UapCertificate(cert.order, cert.bound, weights=cert.weights, columns=cert.columns,
@@ -489,7 +501,7 @@ def _recert(node, **fields):
     kw = dict(order=cert.order, bound=cert.bound, value=cert.value, weights=cert.weights,
               columns=cert.columns, coeffs=cert.coeffs)
     kw.update(fields)
-    return gl.CertifiedFunction(node.func, gl.UapCertificate(**kw))
+    return gl.CertifiedFunction(node.func, gl.UapCertificate(**kw), node.offset)
 
 
 def _with_column(node, j, column):
