@@ -118,13 +118,20 @@ def _real_power(s: complex, d: int, scale: float, tol: float) -> float:
 
 
 def gowers_norm(f: GroupFunction, d: int, tol: float = DEFAULT_TOL) -> GowersNorm:
-    """||f||_{U^d} by the derivative engine; order 0 returns E(f)."""
+    """||f||_{U^d} by the derivative engine; order 0 returns E(f).  When
+    m = max|f| is finite but m^(2^d) overflows, the engine's products would
+    too, so the norm is m ||f/m||_{U^d}."""
     if d < 0:
         raise UnsupportedOrderError(f"order must be >= 0, got {d}")
     if d == 0:
         return GowersNorm(0, None, complex(np.mean(f.values)))
+    m = np.max(np.abs(f.values))
+    with np.errstate(over="ignore"):
+        scale = float(m ** (2 ** d))
+    if scale == np.inf and np.isfinite(m):
+        norm = gowers_norm(GroupFunction(f.n, f.values / m), d, tol).value
+        return GowersNorm(d, float(m * norm), None)
     s = complex(_power_rows(f.values[None, :], d, _shift_table(f.n))[0])
-    scale = float(np.max(np.abs(f.values)) ** (2 ** d))
     s_real = _real_power(s, d, scale, tol)
     return GowersNorm(d, float(s_real ** (1.0 / 2 ** d)), None)
 

@@ -18,8 +18,9 @@ CertifiedFunction nodes.  A CertifiedFunction reads its certificate
 through an offset: its row i is stored row i + offset.  So a shift is an
 offset, not a copy: cert_shift returns the same certificate object, and
 the N shifts of a sub-certificate in certify_dual share it.
-verify_certificate checks each certificate object once, and each node
-holding it against its stored rows read through the node's offset.
+verify_certificate checks each certificate object once, and compares
+each pair of a certificate and an unshifted function T^(-offset) F once:
+the nodes holding one pair pass or fail together.
 """
 from __future__ import annotations
 
@@ -127,18 +128,21 @@ def verify_certificate(
 
     A depth-first walk visits each distinct node once.  At the first node
     that holds a certificate object it checks that certificate in full
-    (_check) and pushes its sub-certificates; every node holding it then
-    compares T^i F with row i + offset of the certificate's reconstruction
-    table.  The failure raised is the one met first: the earliest node in
-    walk order, and within a node the first of bound, constant, weights,
-    columns, coefficients, reconstruction.  The returned report carries
-    the worst reconstruction error seen, the tree depth, and the number of
-    distinct nodes.  Every comparison is written so that a NaN bound,
-    constant, weight, coefficient or value fails it.
+    (_check) and pushes its sub-certificates.  A node holding it is read
+    through its unshifted function G = T^(-offset) F, whose row i + offset
+    is T^i F, and G's rows are compared with the certificate's
+    reconstruction table once per (certificate, G) pair, since every
+    holder of a pair passes or fails with it.  The failure raised is the
+    one met first: the earliest node in walk order, and within a node the
+    first of bound, constant, weights, columns, coefficients,
+    reconstruction.  The returned report carries the worst reconstruction
+    error seen, the tree depth, and the number of distinct nodes.  Every
+    comparison is written so that a NaN bound, constant, weight,
+    coefficient or value fails it.
     """
-    tables, seen = {}, set()  # a certificate's table, by id
-    depth, worst = 0, 0.0
-    idx = _shift_table(cf.n)  # _check passes no sub-certificate on another group
+    tables, seen, matched = {}, set(), set()  # tables by certificate id; nodes; pairs
+    depth, worst, n = 0, 0.0, cf.n
+    idx = _shift_table(n)  # _check passes no sub-certificate on another group
     stack = [(cf, 0, ("root",))]
     while stack:
         node, dep, path = stack.pop()
@@ -157,10 +161,14 @@ def verify_certificate(
         if cert.order == 0:
             err = float(np.max(np.abs(node.func.values - cert.value)))
             message = f"order-0 function is not the certified constant (err {err:.3e})"
-        else:
-            table = tables[id(cert)]
-            err = float(np.max(np.abs(node.func.values[idx] - table[idx[node.offset]])))
-            message, atol = f"reconstruction error {err:.3e} beyond tolerance", atol * cf.n
+        else:  # G = T^(-offset) F, whose row i + offset is T^i F
+            g = node.func.values[idx[-node.offset % n]]
+            key = (id(cert), g.tobytes())
+            if key in matched:
+                continue
+            matched.add(key)
+            err = float(np.max(np.abs(g[idx] - tables[id(cert)])))
+            message, atol = f"reconstruction error {err:.3e} beyond tolerance", atol * n
         if not err <= atol:
             raise CertificateInvalidError(message, path)
         worst = max(worst, err)
@@ -240,13 +248,32 @@ def _phase_of(sigma: complex) -> complex:
     return sigma / a if a > 0 else 1.0 + 0.0j
 
 
+def _per_stored(rows, op, func) -> tuple:
+    """The slots of order >= 2 rows under op, which runs once per stored
+    certificate: each slot gets func of its own function and the
+    certificate op made from its stored one, read at its own offset, so
+    slots that shared a certificate still do."""
+    done = {}
+
+    def slot(c):
+        if id(c.cert) not in done:
+            done[id(c.cert)] = op(c).cert
+        return CertifiedFunction(func(c.func), done[id(c.cert)], c.offset)
+
+    return tuple(tuple(slot(c) for c in row) for row in rows)
+
+
 def _rescaled(cert: UapCertificate, bound: float, factor) -> UapCertificate:
     """The node with bound `bound` and every coefficient times `factor`
     (a phase, or a ratio of bounds at most 1, so coefficient bounds hold)."""
     if cert.order == 1:
         coeffs = np.asarray(cert.coeffs) * factor
+    elif factor == 0:  # each slot is cert_zero, as cert_scale(c, 0) makes it
+        coeffs = tuple(tuple(cert_scale(c, 0) for c in row) for row in cert.coeffs)
     else:
-        coeffs = tuple(tuple(cert_scale(c, factor) for c in row) for row in cert.coeffs)
+        sigma = complex(factor)
+        coeffs = _per_stored(cert.coeffs, lambda c: cert_scale(c, sigma),
+                             lambda g: GroupFunction(g.n, g.values * sigma))
     return UapCertificate(cert.order, bound, weights=cert.weights,
                           columns=cert.columns, coeffs=coeffs)
 
@@ -375,7 +402,7 @@ def cert_conj(cf: CertifiedFunction) -> CertifiedFunction:
     if cert.order == 1:
         coeffs = np.conj(np.asarray(cert.coeffs))
     else:
-        coeffs = tuple(tuple(cert_conj(c) for c in row) for row in cert.coeffs)
+        coeffs = _per_stored(cert.coeffs, cert_conj, GroupFunction.conj)
     new = UapCertificate(cert.order, cert.bound, weights=cert.weights,
                          columns=columns, coeffs=coeffs)
     return CertifiedFunction(func, new, cf.offset)

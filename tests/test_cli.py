@@ -298,6 +298,16 @@ def test_gowers_dual_then_norm_composes(tmp_path, capsys):
     assert 0.0 < env["report"]["value"] <= 1.0 + 1e-9
 
 
+def test_gowers_norm_of_values_whose_power_overflows(tmp_path, capsys):
+    """max|f|^(2^d) = 1e2400 is no double; the norm of seven values 1e300
+    is 1e300 all the same, with nothing on stderr."""
+    f = write(tmp_path, "f.json", {"n": 7, "re": [1e300] * 7})
+    rc = main(["gowers", "norm", "--input", f, "--order", "3"])
+    out, err = capsys.readouterr()
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["report"] == {"order": 3, "value": 1e300}
+
+
 def test_gowers_vnn(tmp_path, capsys):
     files = []
     rng = gl.derive_rng(1, "cli-vnn")

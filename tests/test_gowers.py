@@ -71,6 +71,17 @@ def test_u1_is_mean_modulus():
     assert gl.gowers_norm(f, 1).value == pytest.approx(abs(np.mean(f.values)), abs=1e-12)
 
 
+def test_huge_values_are_scaled_not_overflowed():
+    """Where max|f|^(2^d) overflows a double, the norm is m ||f/m||_{U^d}
+    with m = max|f|: finite, homogeneous, and without an overflow warning."""
+    f = random_function(np.random.default_rng(5), 13)
+    for d in (1, 2, 3):
+        for scale in (1e150, 1e300):
+            big = gl.GroupFunction(13, scale * f.values)
+            want = scale * gl.gowers_norm(f, d).value
+            assert gl.gowers_norm(big, d).value == pytest.approx(want, rel=1e-12)
+
+
 def test_monotone_in_order():
     rng = np.random.default_rng(3)
     for _ in range(100):

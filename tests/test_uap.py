@@ -292,6 +292,11 @@ def test_structural_sharing_in_dual():
     assert len({id(c.cert) for row in cf.cert.coeffs for c in row}) == 11
     rep = gl.verify_certificate(cf, 1e-9)
     assert rep.total_nodes <= 2 * 11 * 11
+    # a closure operation keeps the sharing: it runs once per stored certificate
+    for op in (lambda c: gl.cert_scale(c, 0.5j), lambda c: gl.raise_bound(c, 2.0), gl.cert_conj):
+        out = op(cf)
+        assert len({id(c.cert) for row in out.cert.coeffs for c in row}) == 11
+        assert_same_report(out)
 
 
 # ---------------------------------------------------------------------------
@@ -536,6 +541,12 @@ def _set_slot(value):
     return edit
 
 
+def _with_value(node, i, value):
+    vals = node.func.values.copy()
+    vals[i] = value
+    return gl.CertifiedFunction(gl.GroupFunction(node.n, vals), node.cert, node.offset)
+
+
 # (name, order of the member, corruption of the member, message pattern)
 MEMBER_CORRUPTIONS = [
     ("negative bound", 1, lambda x: _recert(x, bound=-0.5), "negative bound"),
@@ -568,6 +579,13 @@ MEMBER_CORRUPTIONS = [
      "coefficient bound 2 exceeds 1"),
     ("reconstruction", 2,
      lambda x: _with_coeff_rows(x, _set_slot(lambda c: gl.cert_shift(c, 1))), "reconstruction"),
+    # the shared certificate under a function one value off, or read one row
+    # off: a check made once per certificate, not per (certificate, unshifted
+    # function) pair, would pass both.  The value moves by 2e-8, beyond the
+    # member's tolerance 7e-9 but not the root's, which sees it divided by N.
+    *[(name, order, corrupt, "reconstruction error") for order in (1, 2) for name, corrupt in (
+        ("moved value", lambda x: _with_value(x, 4, x.func.values[4] + 2e-8)),
+        ("moved offset", lambda x: gl.CertifiedFunction(x.func, x.cert, (x.offset + 1) % x.n)))],
 ]
 
 
@@ -634,12 +652,6 @@ def test_verify_corruption_at_the_root():
     moved = _set_slot(lambda c: gl.CertifiedFunction(gl.shift(c.func, 1), c.cert))
     bad = _with_coeff_rows(cf, moved)
     assert _same_failure(bad).path == ("root",)
-
-
-def _with_value(node, i, value):
-    vals = node.func.values.copy()
-    vals[i] = value
-    return gl.CertifiedFunction(gl.GroupFunction(node.n, vals), node.cert)
 
 
 # (name, order of the dual's certificate, NaN put in, message pattern)
