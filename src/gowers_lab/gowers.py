@@ -184,12 +184,20 @@ def dual_function(f: GroupFunction, d: int) -> GroupFunction:
     """D_0(f) = 1;  D_d(f) = E( conj(D_{d-1}(conj(f) T^h f)) . T^h f | h ).
 
     For bounded f every D_d(f) is bounded, and <f, D_d(f)> equals
-    ||f||_{U^d}^{2^d}.
+    ||f||_{U^d}^{2^d}.  D_d is homogeneous of degree 2^d - 1, so when
+    m = max|f| is finite but m^(2^d - 1) is no finite double, its values
+    are not either, and this raises.
     """
     if d < 0:
         raise UnsupportedOrderError(f"order must be >= 0, got {d}")
     if d == 0:
         return GroupFunction.constant(f.n, 1.0)
+    m = np.max(np.abs(f.values))
+    with np.errstate(over="ignore"):
+        if np.isfinite(m) and not np.isfinite(m ** (np.exp2(d) - 1)):
+            raise NumericalInconsistencyError(
+                f"max|f| = {m:.6g} overflows D_{d}(f), which has degree 2^{d} - 1 in f"
+            )
     return GroupFunction(f.n, _dual_rows(f.values[None, :], d, _shift_table(f.n))[0])
 
 

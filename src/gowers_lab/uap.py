@@ -535,11 +535,20 @@ def certify_dual(
     each of N sub-certificates, and the shifts of one share its certificate
     object, read at N offsets.  The function itself is assembled from the same
     sub-certificates at i = 0, so every sub-dual is computed once.
+
+    The input is checked once, here: with m = max|f| it is accepted only if
+    m^(2^(d-1)) <= 1 + tol, which implies m <= 1 + tol.  Every function
+    certified inside is a product of at most 2^(d-2) factors of f, and
+    every order-1 coefficient one of 2^(d-1), so up to rounding this
+    implies each bound the verifier checks.
     """
     if d < 1:
         raise UnsupportedOrderError("dual certificates need d >= 1")
-    if not f.is_bounded(tol):
-        raise BoundednessError("dual certificate requires max|f| <= 1")
+    with np.errstate(over="ignore"):
+        if not np.max(np.abs(f.values)) ** np.exp2(d - 1) <= 1.0 + tol:
+            raise BoundednessError(
+                f"dual certificate of order {d} requires max|f|^{2 ** (d - 1)} <= 1 + tol"
+            )
     n = f.n
     if n ** (d - 1) > node_budget:
         raise ResourceLimitError(
@@ -547,21 +556,23 @@ def certify_dual(
         )
     if d == 1:
         return certify_constant(n, np.mean(f.values), bound=1.0)  # D_1(f) = E(f)
-    idx = _shift_table(n)
-    shifted = f.values[idx]  # row h is T^h f
+    return _dual(f.values, d, _shift_table(n))
+
+
+def _dual(values: np.ndarray, d: int, idx: np.ndarray) -> CertifiedFunction:
+    """certify_dual of checked values for d >= 2, on the shift table idx."""
+    n = values.shape[0]
+    shifted = values[idx]  # row h is T^h f
     columns = tuple(GroupFunction(n, row) for row in shifted)
     weights = np.full(n, 1.0 / n)
     # D_d(f) = E( c_h . T^h f | h ) with c_h = D_{d-1}(f . conj(T^h f))
     if d == 2:
         # the c_h are the constants conj(E(conj(f) T^h f)); slot (i, h) holds c_{h-i}
-        consts = np.conj((np.conj(f.values) * shifted).mean(axis=1))
+        consts = np.conj((np.conj(values) * shifted).mean(axis=1))
         coeffs = consts[idx[-np.arange(n) % n]]
         cert = UapCertificate(1, 1.0, weights=weights, columns=columns, coeffs=coeffs)
         return CertifiedFunction(GroupFunction(n, consts @ shifted / n), cert)
-    base = [
-        certify_dual(GroupFunction(n, f.values * np.conj(shifted[m])), d - 1, node_budget, tol)
-        for m in range(n)
-    ]
+    base = [_dual(values * np.conj(shifted[m]), d - 1, idx) for m in range(n)]
     dual = (np.array([b.func.values for b in base]) * shifted).mean(axis=0)
     rows = tuple(
         tuple(cert_shift(base[(h - i) % n], i) for h in range(n)) for i in range(n)

@@ -231,11 +231,10 @@ def vdw_number(
 
 @dataclass(frozen=True)
 class FanSubproofs:
-    """Inductive-hypothesis solvers for the focusing step.  Either may be
-    None to use the exhaustive defaults."""
+    """The inductive-hypothesis solver for the focusing step; None uses the
+    exhaustive default."""
 
     block_solver: object = None  # fn(Colouring, k, d) -> ('ap', (a, r)) | ('fan', Fan)
-    block_ap_solver: object = None  # fn(symbols, k) -> (b, s) 0-based | None
 
 
 def _default_block_solver(col: Colouring, k: int, d: int):
@@ -277,7 +276,6 @@ def fan_focus_step(
         )
     sub = subproofs or FanSubproofs()
     solver = sub.block_solver or _default_block_solver
-    ap_solver = sub.block_ap_solver or _mono_symbol_ap
 
     data = []
     for b in range(n2):
@@ -300,7 +298,7 @@ def fan_focus_step(
             raise SubproofError("block fan failed direct inspection", block=b)
         data.append((fan.base, fan.steps, fan.colours))
 
-    hit = ap_solver(data, k - 1)
+    hit = _mono_symbol_ap(data, k - 1)
     if hit is None:
         raise SubproofError("no monochromatic block progression", block=None)
     b, s = hit

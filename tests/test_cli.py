@@ -308,6 +308,33 @@ def test_gowers_norm_of_values_whose_power_overflows(tmp_path, capsys):
     assert json.loads(out)["report"] == {"order": 3, "value": 1e300}
 
 
+def test_gowers_dual_of_values_whose_power_overflows(tmp_path, capsys):
+    """D_d has degree 2^d - 1, so the duals of seven values 1e300 are no
+    doubles from order 2 on: exit 1 with an envelope and nothing on stderr.
+    Order 1 is the mean, 1e300 to rounding."""
+    f = write(tmp_path, "f.json", {"n": 7, "re": [1e300] * 7})
+    for order in ("2", "3"):
+        rc = main(["gowers", "dual", "--input", f, "--order", order])
+        out, err = capsys.readouterr()
+        assert (rc, err) == (1, "")
+        assert json.loads(out)["error"]["type"] == "NumericalInconsistencyError"
+    rc = main(["gowers", "dual", "--input", f, "--order", "1"])
+    out, err = capsys.readouterr()
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["report"]["re"] == [pytest.approx(1e300, rel=1e-15)] * 7
+
+
+def test_uap_dual_rejects_values_whose_leaf_coefficients_exceed_one(tmp_path, capsys):
+    """max|f| = 1 + 9e-10 is within tol, but the order-1 coefficients
+    E(conj(f) T^h f) = max|f|^2 are not: the input is refused before any
+    certificate is built, not certified into one that `uap verify` rejects."""
+    f = write(tmp_path, "f.json", {"n": 7, "re": [1.0000000009] * 7})
+    rc = main(["uap", "dual", "--input", f, "--order", "2"])
+    out, err = capsys.readouterr()
+    assert (rc, err) == (1, "")
+    assert json.loads(out)["error"]["type"] == "BoundednessError"
+
+
 def test_gowers_vnn(tmp_path, capsys):
     files = []
     rng = gl.derive_rng(1, "cli-vnn")

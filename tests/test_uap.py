@@ -92,6 +92,31 @@ def test_certify_dual_rejects_unbounded():
         gl.certify_dual(gl.GroupFunction.constant(7, 1.2), 1, tol=0.5)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.sampled_from([5, 7, 11]),
+    d=st.integers(1, 4),
+    m=st.floats(1 - 1e-9, 1 + 2e-9),
+    seed=st.one_of(st.none(), st.integers(0, 2 ** 31)),
+)
+def test_certify_dual_boundary_rule(n, d, m, seed):
+    """f = m . (unit phases, or the constant 1) near the tolerance edge:
+    certify_dual raises BoundednessError exactly when
+    max|f|^(2^(d-1)) > 1 + tol, and every certificate it returns verifies."""
+    phases = np.ones(n)
+    if seed is not None:
+        phases = np.exp(2j * np.pi * np.random.default_rng(seed).uniform(size=n))
+    f = gl.GroupFunction(n, m * phases)
+    accept = np.max(np.abs(f.values)) ** (2 ** (d - 1)) <= 1 + 1e-9
+    try:
+        cf = gl.certify_dual(f, d)
+    except BoundednessError:
+        assert not accept
+    else:
+        assert accept
+        gl.verify_certificate(cf)
+
+
 def test_certify_dual_node_budget():
     rng = np.random.default_rng(2)
     f = bounded_function(rng, 13, scale=1.0)
