@@ -142,9 +142,16 @@ def gowers_norm_direct(f: GroupFunction, d: int, tol: float = DEFAULT_TOL) -> fl
     Sums conj^eps(f)(x + omega . h) over the full cube of side offsets,
     conjugating a vertex omega exactly when d + |omega| is odd.  Agrees
     with the recursive route; kept loop-free as an independent oracle.
+    As in gowers_norm, when m = max|f| is finite but m^(2^d) overflows,
+    the norm is m ||f/m||_{U^d}.
     """
     if not 1 <= d <= 3:
         raise UnsupportedOrderError(f"direct cube sum implemented for d in 1..3, got {d}")
+    m = np.max(np.abs(f.values))
+    with np.errstate(over="ignore"):
+        scale = float(m ** (2 ** d))
+    if scale == np.inf and np.isfinite(m):
+        return float(m * gowers_norm_direct(GroupFunction(f.n, f.values / m), d, tol))
     n = f.n
     grids = np.indices((n,) * (d + 1))
     x = grids[0]
@@ -161,7 +168,6 @@ def gowers_norm_direct(f: GroupFunction, d: int, tol: float = DEFAULT_TOL) -> fl
             factor = np.conj(factor)
         total *= factor
     s = complex(total.mean())
-    scale = float(np.max(np.abs(f.values)) ** (2 ** d))
     s_real = _real_power(s, d, scale, tol)
     return float(s_real ** (1.0 / 2 ** d))
 
@@ -263,12 +269,24 @@ def gowers_power_batch(stack: np.ndarray, d: int) -> np.ndarray:
 
 
 def gowers_norm_batch(stack: np.ndarray, d: int, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """||row||_{U^d} for every row of a (B, N) stack, d >= 1."""
+    """||row||_{U^d} for every row of a (B, N) stack, d >= 1.  As in
+    gowers_norm, a row whose m = max|row| is finite but m^(2^d) overflows
+    has norm m ||row/m||_{U^d}; every other row keeps its own route."""
     if d < 1:
         raise UnsupportedOrderError("batched norm needs d >= 1")
     stack = np.asarray(stack, dtype=np.complex128)
+    m = np.max(np.abs(stack), axis=1)
+    with np.errstate(over="ignore"):
+        scale = m ** (2 ** d)
+    big = np.isinf(scale) & np.isfinite(m)
+    if big.any():  # only those rows are rescaled
+        stack = stack.copy()
+        stack[big] /= m[big, None]
+        norms = gowers_norm_batch(stack, d, tol)
+        norms[big] *= m[big]
+        return norms
     s = _power_rows(stack, d, _shift_table(stack.shape[1]))
-    scale = np.maximum(1.0, np.max(np.abs(stack), axis=1) ** (2 ** d))
+    scale = np.maximum(1.0, scale)
     if np.any(np.abs(s.imag) > tol * scale):
         raise NumericalInconsistencyError("batched S_d has non-real entries")
     if np.any(s.real < -tol * scale):

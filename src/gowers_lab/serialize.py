@@ -164,7 +164,7 @@ def certificate_from_json(obj) -> CertifiedFunction:
     bound, func = float(bound), function_from_json(func)
     if order == 0:
         (value,) = _fields(obj, "order-0 certificate", value=PAIR)
-        return CertifiedFunction(func, UapCertificate(0, bound, value=complex(value[0], value[1])))
+        return CertifiedFunction(UapCertificate(0, bound, func, value=complex(value[0], value[1])))
     rows = ("equal-length rows of [re, im] pairs", _rows(PAIR[1])) if order == 1 else \
         ("equal-length rows of certificates", _rows(OBJECT[1]))
     weights, columns, coeffs = _fields(obj, "certificate", weights=REALS, columns=LIST, coeffs=rows)
@@ -174,8 +174,8 @@ def certificate_from_json(obj) -> CertifiedFunction:
         coeffs = np.array([[complex(c[0], c[1]) for c in row] for row in coeffs], np.complex128)
     else:
         coeffs = tuple(tuple(certificate_from_json(c) for c in row) for row in coeffs)
-    cert = UapCertificate(order, bound, weights=weights, columns=columns, coeffs=coeffs)
-    return CertifiedFunction(func, cert)
+    cert = UapCertificate(order, bound, func, weights=weights, columns=columns, coeffs=coeffs)
+    return CertifiedFunction(cert)
 
 
 # ---------------------------------------------------------------------------

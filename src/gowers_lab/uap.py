@@ -12,15 +12,15 @@ below construct them, and verify_certificate re-checks every layer down
 to the constants.  No infimum over representations is ever computed; a
 certificate only ever asserts an upper bound.
 
-Storage convention: for an order-1 certificate the coefficients are a
-dense complex matrix indexed (n, h); for order >= 2 they are nested
-CertifiedFunction nodes.  A CertifiedFunction reads its certificate
-through an offset: its row i is stored row i + offset.  So a shift is an
-offset, not a copy: cert_shift returns the same certificate object, and
-the N shifts of a sub-certificate in certify_dual share it.
-verify_certificate checks each certificate object once, and compares
-each pair of a certificate and an unshifted function T^(-offset) F once:
-the nodes holding one pair pass or fail together.
+Storage convention: a certificate holds the function G it certifies, and
+row r of its table is T^r G.  Order-1 coefficients are a dense complex
+matrix indexed (n, h); order >= 2 ones are nested CertifiedFunction nodes.
+A CertifiedFunction is a certificate read at an offset: its function is
+T^offset G, its row i stored row i + offset.  So a shift is an offset, not
+a copy: cert_shift returns the same certificate object, the N shifts of a
+sub-certificate in certify_dual share it, and each function's values live
+once, on its certificate.  verify_certificate checks each certificate
+object once, against its own G.
 """
 from __future__ import annotations
 
@@ -57,6 +57,7 @@ class UapCertificate:
 
     order: int
     bound: float
+    func: GroupFunction  # G, the function certified: row r of the table is T^r G
     value: complex | None = None  # order 0 only: the constant
     weights: np.ndarray | None = None  # order >= 1: (H,) probability vector
     columns: tuple | None = None  # order >= 1: H bounded GroupFunctions
@@ -65,11 +66,14 @@ class UapCertificate:
 
 @dataclass(eq=False)
 class CertifiedFunction:
-    """A function together with its almost-periodicity witness."""
+    """A certificate read at an offset: the function T^offset G, G = cert.func."""
 
-    func: GroupFunction
     cert: UapCertificate
     offset: int = 0  # row i of this function is stored row i + offset
+
+    @property
+    def func(self) -> GroupFunction:  # cert.func itself at offset 0, else a fresh shift
+        return shift(self.cert.func, self.offset) if self.offset else self.cert.func
 
     @property
     def rows(self):
@@ -80,7 +84,7 @@ class CertifiedFunction:
 
     @property
     def n(self) -> int:
-        return self.func.n
+        return self.cert.func.n  # self.func would build a shift on every call
 
     @property
     def order(self) -> int:
@@ -95,14 +99,15 @@ class CertifiedFunction:
 # basic constructors
 
 
-def certify_constant(n: int, value: complex, bound: float | None = None) -> CertifiedFunction:
+def certify_constant(n: int, value: complex, bound: float | None = None,
+                     tol: float = DEFAULT_TOL) -> CertifiedFunction:
     value = complex(value)
     if bound is None:
         bound = abs(value)
-    if abs(value) > bound + DEFAULT_TOL:
+    if abs(value) > bound + tol:
         raise CertificateInvalidError(f"|{value}| exceeds declared bound {bound}")
-    cert = UapCertificate(order=0, bound=float(bound), value=value)
-    return CertifiedFunction(GroupFunction.constant(n, value), cert)
+    return CertifiedFunction(UapCertificate(0, float(bound), GroupFunction.constant(n, value),
+                                            value=value))
 
 
 def cert_zero(n: int, order: int) -> CertifiedFunction:
@@ -128,19 +133,16 @@ def verify_certificate(
 
     A depth-first walk visits each distinct node once.  At the first node
     that holds a certificate object it checks that certificate in full
-    (_check) and pushes its sub-certificates.  A node holding it is read
-    through its unshifted function G = T^(-offset) F, whose row i + offset
-    is T^i F, and G's rows are compared with the certificate's
-    reconstruction table once per (certificate, G) pair, since every
-    holder of a pair passes or fails with it.  The failure raised is the
-    one met first: the earliest node in walk order, and within a node the
-    first of bound, constant, weights, columns, coefficients,
-    reconstruction.  The returned report carries the worst reconstruction
-    error seen, the tree depth, and the number of distinct nodes.  Every
-    comparison is written so that a NaN bound, constant, weight,
-    coefficient or value fails it.
+    (_check), compares its table with the rows T^r G of its function G,
+    and pushes its sub-certificates; every other holder of it passes or
+    fails with it.  The failure raised is the one met first: the earliest
+    node in walk order, and within a node the first of bound, constant,
+    weights, columns, coefficients, reconstruction.  The returned report
+    carries the worst reconstruction error seen, the tree depth, and the
+    number of distinct nodes.  Every comparison is written so that a NaN
+    bound, constant, weight, coefficient or value fails it.
     """
-    tables, seen, matched = {}, set(), set()  # tables by certificate id; nodes; pairs
+    checked, seen = set(), set()  # certificate ids; node ids
     depth, worst, n = 0, 0.0, cf.n
     idx = _shift_table(n)  # _check passes no sub-certificate on another group
     stack = [(cf, 0, ("root",))]
@@ -151,23 +153,20 @@ def verify_certificate(
         seen.add(id(node))
         depth = max(depth, dep)
         cert = node.cert
-        if id(cert) not in tables:
-            tables[id(cert)] = _check(node, tol, path)
-            if cert.order >= 2:
-                depth = max(depth, dep + 1)
-                stack.extend((sub, dep + 1, path + (i, j))
-                             for i, row in enumerate(node.rows) for j, sub in enumerate(row))
-        atol = tol * max(1.0, cert.bound)
+        if id(cert) in checked:
+            continue
+        checked.add(id(cert))
+        table = _check(node, tol, path, idx)
+        if cert.order >= 2:
+            depth = max(depth, dep + 1)
+            stack.extend((sub, dep + 1, path + (i, j))
+                         for i, row in enumerate(node.rows) for j, sub in enumerate(row))
+        atol, g = tol * max(1.0, cert.bound), cert.func.values
         if cert.order == 0:
-            err = float(np.max(np.abs(node.func.values - cert.value)))
+            err = float(np.max(np.abs(g - cert.value)))
             message = f"order-0 function is not the certified constant (err {err:.3e})"
-        else:  # G = T^(-offset) F, whose row i + offset is T^i F
-            g = node.func.values[idx[-node.offset % n]]
-            key = (id(cert), g.tobytes())
-            if key in matched:
-                continue
-            matched.add(key)
-            err = float(np.max(np.abs(g[idx] - tables[id(cert)])))
+        else:
+            err = float(np.max(np.abs(g[idx] - table)))
             message, atol = f"reconstruction error {err:.3e} beyond tolerance", atol * n
         if not err <= atol:
             raise CertificateInvalidError(message, path)
@@ -175,12 +174,12 @@ def verify_certificate(
     return VerificationReport(worst, depth, len(seen))
 
 
-def _check(node: CertifiedFunction, tol: float, path: tuple):
+def _check(node: CertifiedFunction, tol: float, path: tuple, idx: np.ndarray):
     """Check the certificate that node holds, raising the first failure in
     the order verify_certificate reports them; a failing coefficient row is
     named by its index in node's rows.  Returns the reconstruction table,
     row r = M . sum_h w_h c_{r,h} g_h over the stored rows r (None at
-    order 0)."""
+    order 0); idx is the shift table of node's group."""
     cert, n = node.cert, node.n
     if cert.bound == np.inf:
         raise CertificateInvalidError("infinite bound", path)
@@ -235,7 +234,8 @@ def _check(node: CertifiedFunction, tol: float, path: tuple):
             else:
                 continue
             raise CertificateInvalidError(message, path + (i, j))
-    coeff = np.array([[sub.func.values for sub in row] for row in cert.coeffs])  # (N, H, N)
+    coeff = np.array([[sub.cert.func.values[idx[sub.offset]] for sub in row]  # (N, H, N)
+                      for row in cert.coeffs])
     return cert.bound * np.einsum("ihx,hx->ix", coeff, w[:, None] * cols)
 
 
@@ -248,23 +248,23 @@ def _phase_of(sigma: complex) -> complex:
     return sigma / a if a > 0 else 1.0 + 0.0j
 
 
-def _per_stored(rows, op, func) -> tuple:
+def _per_stored(rows, op) -> tuple:
     """The slots of order >= 2 rows under op, which runs once per stored
-    certificate: each slot gets func of its own function and the
-    certificate op made from its stored one, read at its own offset, so
-    slots that shared a certificate still do."""
+    certificate: each slot gets the certificate op made from its stored
+    one, read at its own offset, so slots that shared a certificate still
+    do."""
     done = {}
 
     def slot(c):
         if id(c.cert) not in done:
             done[id(c.cert)] = op(c).cert
-        return CertifiedFunction(func(c.func), done[id(c.cert)], c.offset)
+        return CertifiedFunction(done[id(c.cert)], c.offset)
 
     return tuple(tuple(slot(c) for c in row) for row in rows)
 
 
-def _rescaled(cert: UapCertificate, bound: float, factor) -> UapCertificate:
-    """The node with bound `bound` and every coefficient times `factor`
+def _rescaled(cert: UapCertificate, func: GroupFunction, bound: float, factor) -> UapCertificate:
+    """The node for func with bound `bound` and every coefficient times `factor`
     (a phase, or a ratio of bounds at most 1, so coefficient bounds hold)."""
     if cert.order == 1:
         coeffs = np.asarray(cert.coeffs) * factor
@@ -272,9 +272,8 @@ def _rescaled(cert: UapCertificate, bound: float, factor) -> UapCertificate:
         coeffs = tuple(tuple(cert_scale(c, 0) for c in row) for row in cert.coeffs)
     else:
         sigma = complex(factor)
-        coeffs = _per_stored(cert.coeffs, lambda c: cert_scale(c, sigma),
-                             lambda g: GroupFunction(g.n, g.values * sigma))
-    return UapCertificate(cert.order, bound, weights=cert.weights,
+        coeffs = _per_stored(cert.coeffs, lambda c: cert_scale(c, sigma))
+    return UapCertificate(cert.order, bound, func, weights=cert.weights,
                           columns=cert.columns, coeffs=coeffs)
 
 
@@ -288,13 +287,13 @@ def cert_scale(cf: CertifiedFunction, sigma: complex) -> CertifiedFunction:
     cert = cf.cert
     if sigma == 0:
         return cert_zero(cf.n, cert.order)
-    func = GroupFunction(cf.n, cf.func.values * sigma)
+    func = GroupFunction(cf.n, cert.func.values * sigma)
     bound = cert.bound * abs(sigma)
     if cert.order == 0:
-        new = UapCertificate(0, bound, value=cert.value * sigma)
+        new = UapCertificate(0, bound, func, value=cert.value * sigma)
     else:
-        new = _rescaled(cert, bound, _phase_of(sigma))
-    return CertifiedFunction(func, new, cf.offset)
+        new = _rescaled(cert, func, bound, _phase_of(sigma))
+    return CertifiedFunction(new, cf.offset)
 
 
 def raise_bound(cf: CertifiedFunction, new_bound: float) -> CertifiedFunction:
@@ -305,10 +304,10 @@ def raise_bound(cf: CertifiedFunction, new_bound: float) -> CertifiedFunction:
     if new_bound <= cert.bound:
         return cf
     if cert.order == 0:
-        new = UapCertificate(0, float(new_bound), value=cert.value)
+        new = UapCertificate(0, float(new_bound), cert.func, value=cert.value)
     else:  # the ratio is 0 when the old bound was 0: zero function
-        new = _rescaled(cert, float(new_bound), cert.bound / new_bound)
-    return CertifiedFunction(cf.func, new, cf.offset)
+        new = _rescaled(cert, cert.func, float(new_bound), cert.bound / new_bound)
+    return CertifiedFunction(new, cf.offset)
 
 
 def _require_same(a: CertifiedFunction, b: CertifiedFunction):
@@ -321,14 +320,14 @@ def _require_same(a: CertifiedFunction, b: CertifiedFunction):
 
 
 def _concat(a: CertifiedFunction, b: CertifiedFunction, wa: float, wb: float,
-            bound: float) -> UapCertificate:
-    """One node over the columns of a then b, their weights mixed wa : wb."""
+            bound: float, func: GroupFunction) -> UapCertificate:
+    """One node for func over the columns of a then b, weights mixed wa : wb."""
     weights = np.concatenate([wa * a.cert.weights, wb * b.cert.weights])
     if a.order == 1:
         coeffs = np.hstack([a.rows, b.rows])
     else:
         coeffs = tuple(ra + rb for ra, rb in zip(a.rows, b.rows))
-    return UapCertificate(a.order, bound, weights=weights,
+    return UapCertificate(a.order, bound, func, weights=weights,
                           columns=a.cert.columns + b.cert.columns, coeffs=coeffs)
 
 
@@ -341,9 +340,9 @@ def cert_add(a: CertifiedFunction, b: CertifiedFunction, theta: float) -> Certif
     func = GroupFunction(a.n, (1 - theta) * a.func.values + theta * b.func.values)
     if a.cert.order == 0:
         value = (1 - theta) * a.cert.value + theta * b.cert.value
-        return CertifiedFunction(func, UapCertificate(0, m, value=value))
-    cert = _concat(raise_bound(a, m), raise_bound(b, m), 1 - theta, theta, m)
-    return CertifiedFunction(func, cert)
+        return CertifiedFunction(UapCertificate(0, m, func, value=value))
+    return CertifiedFunction(_concat(raise_bound(a, m), raise_bound(b, m), 1 - theta, theta, m,
+                                     func))
 
 
 def cert_sum(a: CertifiedFunction, b: CertifiedFunction) -> CertifiedFunction:
@@ -355,9 +354,8 @@ def cert_sum(a: CertifiedFunction, b: CertifiedFunction) -> CertifiedFunction:
     func = GroupFunction(a.n, a.func.values + b.func.values)
     if a.cert.order == 0:
         value = a.cert.value + b.cert.value
-        return CertifiedFunction(func, UapCertificate(0, total, value=value))
-    cert = _concat(a, b, a.bound / total, b.bound / total, total)
-    return CertifiedFunction(func, cert)
+        return CertifiedFunction(UapCertificate(0, total, func, value=value))
+    return CertifiedFunction(_concat(a, b, a.bound / total, b.bound / total, total, func))
 
 
 def cert_multiply(a: CertifiedFunction, b: CertifiedFunction) -> CertifiedFunction:
@@ -365,8 +363,8 @@ def cert_multiply(a: CertifiedFunction, b: CertifiedFunction) -> CertifiedFuncti
     _require_same(a, b)
     func = GroupFunction(a.n, a.func.values * b.func.values)
     if a.cert.order == 0:
-        cert = UapCertificate(0, a.bound * b.bound, value=a.cert.value * b.cert.value)
-        return CertifiedFunction(func, cert)
+        value = a.cert.value * b.cert.value
+        return CertifiedFunction(UapCertificate(0, a.bound * b.bound, func, value=value))
     weights = np.outer(a.cert.weights, b.cert.weights).ravel()
     columns = tuple(
         GroupFunction(a.n, ga.values * gb.values)
@@ -380,32 +378,31 @@ def cert_multiply(a: CertifiedFunction, b: CertifiedFunction) -> CertifiedFuncti
             tuple(cert_multiply(x, y) for x in ra for y in rb)
             for ra, rb in zip(a.rows, b.rows)
         )
-    cert = UapCertificate(
-        a.cert.order, a.bound * b.bound, weights=weights, columns=columns, coeffs=coeffs
-    )
-    return CertifiedFunction(func, cert)
+    return CertifiedFunction(UapCertificate(
+        a.cert.order, a.bound * b.bound, func, weights=weights, columns=columns, coeffs=coeffs
+    ))
 
 
 def cert_shift(cf: CertifiedFunction, s: int) -> CertifiedFunction:
     """Certificate for T^s F: the same certificate, read s rows further on."""
-    return CertifiedFunction(shift(cf.func, s), cf.cert, (cf.offset + int(s)) % cf.n)
+    return CertifiedFunction(cf.cert, (cf.offset + int(s)) % cf.n)
 
 
 def cert_conj(cf: CertifiedFunction) -> CertifiedFunction:
     """Certificate for conj(F): conjugate columns, coefficients, constant."""
     cert = cf.cert
-    func = cf.func.conj()
+    func = cert.func.conj()
     if cert.order == 0:
-        new = UapCertificate(0, cert.bound, value=np.conj(cert.value))
-        return CertifiedFunction(func, new)
+        return CertifiedFunction(UapCertificate(0, cert.bound, func, value=np.conj(cert.value)),
+                                 cf.offset)
     columns = tuple(g.conj() for g in cert.columns)
     if cert.order == 1:
         coeffs = np.conj(np.asarray(cert.coeffs))
     else:
-        coeffs = _per_stored(cert.coeffs, cert_conj, GroupFunction.conj)
-    new = UapCertificate(cert.order, cert.bound, weights=cert.weights,
+        coeffs = _per_stored(cert.coeffs, cert_conj)
+    new = UapCertificate(cert.order, cert.bound, func, weights=cert.weights,
                          columns=columns, coeffs=coeffs)
-    return CertifiedFunction(func, new, cf.offset)
+    return CertifiedFunction(new, cf.offset)
 
 
 def cert_promote(cf: CertifiedFunction, order: int) -> CertifiedFunction:
@@ -436,9 +433,9 @@ def _promote_one(cf: CertifiedFunction) -> CertifiedFunction:
     else:
         scaled = cert_scale(cf, 1.0 / cert.bound)
         coeffs = tuple((cert_shift(scaled, i),) for i in range(n))
-    new = UapCertificate(cert.order + 1, cert.bound, weights=np.array([1.0]),
-                         columns=(GroupFunction.constant(n, 1.0),), coeffs=coeffs)
-    return CertifiedFunction(cf.func, new)
+    return CertifiedFunction(UapCertificate(
+        cert.order + 1, cert.bound, cf.func, weights=np.array([1.0]),
+        columns=(GroupFunction.constant(n, 1.0),), coeffs=coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -491,10 +488,9 @@ def certify_phase_sum(n: int, terms, order: int | None = None) -> CertifiedFunct
         columns = tuple(GroupFunction(n, phase_values(p, n)) for _, p in kept)
         weights = np.array([abs(g) / total for g, _ in kept])
         coeffs = _phase_coeffs(n, [(_phase_of(g), p) for g, p in kept], degree)
-        cert = UapCertificate(
-            degree, float(total), weights=weights, columns=columns, coeffs=coeffs
-        )
-        out = CertifiedFunction(GroupFunction(n, values), cert)
+        out = CertifiedFunction(UapCertificate(
+            degree, float(total), GroupFunction(n, values), weights=weights, columns=columns,
+            coeffs=coeffs))
     if order is not None and order > out.cert.order:
         out = cert_promote(out, order)
     elif order is not None and order < out.cert.order:
@@ -555,7 +551,7 @@ def certify_dual(
             f"certificate would need ~{n ** (d - 1)} nodes, budget {node_budget}"
         )
     if d == 1:
-        return certify_constant(n, np.mean(f.values), bound=1.0)  # D_1(f) = E(f)
+        return certify_constant(n, np.mean(f.values), bound=1.0, tol=tol)  # D_1(f) = E(f)
     return _dual(f.values, d, _shift_table(n))
 
 
@@ -570,15 +566,15 @@ def _dual(values: np.ndarray, d: int, idx: np.ndarray) -> CertifiedFunction:
         # the c_h are the constants conj(E(conj(f) T^h f)); slot (i, h) holds c_{h-i}
         consts = np.conj((np.conj(values) * shifted).mean(axis=1))
         coeffs = consts[idx[-np.arange(n) % n]]
-        cert = UapCertificate(1, 1.0, weights=weights, columns=columns, coeffs=coeffs)
-        return CertifiedFunction(GroupFunction(n, consts @ shifted / n), cert)
+        return CertifiedFunction(UapCertificate(1, 1.0, GroupFunction(n, consts @ shifted / n),
+                                                weights=weights, columns=columns, coeffs=coeffs))
     base = [_dual(values * np.conj(shifted[m]), d - 1, idx) for m in range(n)]
     dual = (np.array([b.func.values for b in base]) * shifted).mean(axis=0)
     rows = tuple(
         tuple(cert_shift(base[(h - i) % n], i) for h in range(n)) for i in range(n)
     )
-    cert = UapCertificate(d - 1, 1.0, weights=weights, columns=columns, coeffs=rows)
-    return CertifiedFunction(GroupFunction(n, dual), cert)
+    return CertifiedFunction(UapCertificate(d - 1, 1.0, GroupFunction(n, dual), weights=weights,
+                                            columns=columns, coeffs=rows))
 
 
 # ---------------------------------------------------------------------------

@@ -229,14 +229,6 @@ def vdw_number(
 # colour focusing
 
 
-@dataclass(frozen=True)
-class FanSubproofs:
-    """The inductive-hypothesis solver for the focusing step; None uses the
-    exhaustive default."""
-
-    block_solver: object = None  # fn(Colouring, k, d) -> ('ap', (a, r)) | ('fan', Fan)
-
-
 def _default_block_solver(col: Colouring, k: int, d: int):
     ap = find_mono_ap(col, k)
     if ap is not None:
@@ -254,8 +246,7 @@ class FocusOutcome:
 
 
 def fan_focus_step(
-    col: Colouring, k: int, d: int, n1: int, n2: int,
-    subproofs: FanSubproofs | None = None,
+    col: Colouring, k: int, d: int, n1: int, n2: int, *, block_solver=None,
 ) -> FocusOutcome:
     """One level of the focusing induction on a colouring of {1..4k n1 n2}.
 
@@ -267,6 +258,9 @@ def fan_focus_step(
     4x-padded range.  The focused fan gains the progression of fan bases
     as a new spoke; if its base colour repeats a spoke colour the two
     merge into a monochromatic k-AP instead.
+
+    block_solver, fn(Colouring, k, d) -> ('ap', (a, r)) | ('fan', Fan) |
+    None, is the inductive hypothesis; None uses the exhaustive default.
     """
     if k < 2 or d < 1:
         raise InvalidConfigurationError("focusing needs k >= 2 and d >= 1")
@@ -274,8 +268,7 @@ def fan_focus_step(
         raise InvalidConfigurationError(
             f"colouring of length {col.n} shorter than 4k n1 n2 = {4 * k * n1 * n2}"
         )
-    sub = subproofs or FanSubproofs()
-    solver = sub.block_solver or _default_block_solver
+    solver = block_solver or _default_block_solver
 
     data = []
     for b in range(n2):

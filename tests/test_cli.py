@@ -335,6 +335,18 @@ def test_uap_dual_rejects_values_whose_leaf_coefficients_exceed_one(tmp_path, ca
     assert json.loads(out)["error"]["type"] == "BoundednessError"
 
 
+def test_uap_dual_order_one_honours_tol(tmp_path, capsys):
+    """At order 1 the rule is max|f| <= 1 + tol, and the constant E(f) is
+    certified under the same --tol, so `uap verify --tol` accepts it."""
+    f = write(tmp_path, "f.json", {"n": 7, "re": [1.0000005] * 7})
+    cert = str(tmp_path / "cert.json")
+    rc = main(["uap", "dual", "--input", f, "--order", "1", "--tol", "1e-6", "--out", cert])
+    out, err = capsys.readouterr()
+    assert (rc, err) == (0, "")
+    rc, env = run_json(capsys, ["uap", "verify", "--cert", cert, "--tol", "1e-6"])
+    assert rc == 0 and env["report"]["ok"]
+
+
 def test_gowers_vnn(tmp_path, capsys):
     files = []
     rng = gl.derive_rng(1, "cli-vnn")

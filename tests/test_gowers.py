@@ -82,6 +82,19 @@ def test_huge_values_are_scaled_not_overflowed():
             assert gl.gowers_norm(big, d).value == pytest.approx(want, rel=1e-12)
 
 
+def test_huge_values_take_the_same_route_in_every_norm():
+    """The direct and batched routes rescale as gowers_norm does: seven
+    values 1e300 have U^3 norm 1e300 on all three, with no warning, and a
+    batch row that does not overflow keeps its bits."""
+    f = gl.GroupFunction(7, np.full(7, 1e300))
+    rows = random_function(np.random.default_rng(6), 7).values[None, :]
+    assert gl.gowers_norm(f, 3).value == 1e300
+    assert gw.gowers_norm_direct(f, 3) == 1e300
+    assert gw.gowers_norm_batch(f.values[None, :], 3).tolist() == [1e300]
+    mixed = gw.gowers_norm_batch(np.vstack([rows, f.values]), 3)
+    assert mixed[1] == 1e300 and mixed[0] == gw.gowers_norm_batch(rows, 3)[0]
+
+
 def test_monotone_in_order():
     rng = np.random.default_rng(3)
     for _ in range(100):

@@ -1,4 +1,5 @@
 """Certificate construction, algebra, and verification."""
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -87,9 +88,13 @@ def test_certify_dual_rejects_unbounded():
     f = gl.GroupFunction.constant(7, 1.5)
     with pytest.raises(BoundednessError):
         gl.certify_dual(f, 2)
-    # a loose tol admits the input, but the order-0 dual E(f) still exceeds its bound 1
-    with pytest.raises(CertificateInvalidError):
-        gl.certify_dual(gl.GroupFunction.constant(7, 1.2), 1, tol=0.5)
+    # at order 1 the rule is max|f| <= 1 + tol, and the constant E(f) is
+    # certified under the same tol, which the verifier then accepts
+    with pytest.raises(BoundednessError):
+        gl.certify_dual(gl.GroupFunction.constant(7, 1.6), 1, tol=0.5)
+    cf = gl.certify_dual(gl.GroupFunction.constant(7, 1.2), 1, tol=0.5)
+    assert cf.cert.value == 1.2 and cf.bound == 1.0
+    gl.verify_certificate(cf, 0.5)
 
 
 @settings(max_examples=200, deadline=None)
@@ -249,29 +254,19 @@ def test_verify_rejects_corruption():
     rng = np.random.default_rng(12)
     f = bounded_function(rng, 7)
     cf = gl.certify_dual(f, 2)
-    # claim a wrong represented function
-    bad = gl.CertifiedFunction(gl.shift(cf.func, 1), cf.cert)
+    # a certificate that holds a wrong function
     with pytest.raises(CertificateInvalidError):
-        gl.verify_certificate(bad, 1e-9)
+        gl.verify_certificate(_recert(cf, func=gl.shift(cf.func, 1)), 1e-9)
     # corrupt a coefficient beyond modulus 1
     coeffs = np.array(cf.cert.coeffs, copy=True)
     coeffs[0, 0] = 3.0
-    bad_cert = gl.UapCertificate(
-        cf.cert.order, cf.cert.bound, weights=cf.cert.weights,
-        columns=cf.cert.columns, coeffs=coeffs,
-    )
     with pytest.raises(CertificateInvalidError):
-        gl.verify_certificate(gl.CertifiedFunction(cf.func, bad_cert), 1e-9)
+        gl.verify_certificate(_recert(cf, coeffs=coeffs), 1e-9)
     # an unbounded column, or a NaN one, is named by its index
     for value in (1.0 + 1e-6, np.nan):
-        columns = list(cf.cert.columns)
-        columns[2] = gl.GroupFunction.constant(7, value)
-        bad_cert = gl.UapCertificate(
-            cf.cert.order, cf.cert.bound, weights=cf.cert.weights,
-            columns=tuple(columns), coeffs=cf.cert.coeffs,
-        )
+        bad = _with_column(cf, 2, gl.GroupFunction.constant(7, value))
         with pytest.raises(CertificateInvalidError, match="column 2 unbounded") as err:
-            gl.verify_certificate(gl.CertifiedFunction(cf.func, bad_cert), 1e-9)
+            gl.verify_certificate(bad, 1e-9)
         assert err.value.path == ("root", 2)
 
 
@@ -279,16 +274,10 @@ def test_verify_error_carries_path():
     rng = np.random.default_rng(13)
     f = bounded_function(rng, 7)
     cf = gl.certify_dual(f, 3)
-    inner = cf.cert.coeffs[0][0]
-    bad_inner = gl.CertifiedFunction(gl.shift(inner.func, 1), inner.cert)
-    rows = list(list(r) for r in cf.cert.coeffs)
-    rows[0][0] = bad_inner
-    bad_cert = gl.UapCertificate(
-        cf.cert.order, cf.cert.bound, weights=cf.cert.weights,
-        columns=cf.cert.columns, coeffs=tuple(tuple(r) for r in rows),
-    )
+    # a slot whose certificate holds a wrong function
+    bad = _replace(cf, ("root", 0, 0), lambda c: _recert(c, func=gl.shift(c.cert.func, 1)))
     with pytest.raises(CertificateInvalidError) as err:
-        gl.verify_certificate(gl.CertifiedFunction(cf.func, bad_cert), 1e-9)
+        gl.verify_certificate(bad, 1e-9)
     assert err.value.path  # breadcrumb to the offending node
 
 
@@ -313,14 +302,24 @@ def test_structural_sharing_in_dual():
     rng = np.random.default_rng(15)
     f = bounded_function(rng, 11)
     cf = gl.certify_dual(f, 3)
-    # the n^2 slots hold n stored certificates, each read at n offsets
+    # the n^2 slots hold n stored certificates, each read at n offsets, and
+    # n stored functions: a slot holds no function values of its own
     assert len({id(c.cert) for row in cf.cert.coeffs for c in row}) == 11
+    assert len({id(c.cert.func) for row in cf.cert.coeffs for c in row}) == 11
+    assert {x.name for x in dataclasses.fields(gl.CertifiedFunction)} == {"cert", "offset"}
+    # slot (i, h) is the base certificate of difference h - i read at offset i
+    base = cf.cert.coeffs[0]
+    for i, row in enumerate(cf.cert.coeffs):
+        for h, c in enumerate(row):
+            assert c.cert is base[(h - i) % 11].cert and c.offset == i
+            assert np.array_equal(c.func.values, gl.shift(base[(h - i) % 11].func, i).values)
     rep = gl.verify_certificate(cf, 1e-9)
     assert rep.total_nodes <= 2 * 11 * 11
     # a closure operation keeps the sharing: it runs once per stored certificate
     for op in (lambda c: gl.cert_scale(c, 0.5j), lambda c: gl.raise_bound(c, 2.0), gl.cert_conj):
         out = op(cf)
         assert len({id(c.cert) for row in out.cert.coeffs for c in row}) == 11
+        assert len({id(c.cert.func) for row in out.cert.coeffs for c in row}) == 11
         assert_same_report(out)
 
 
@@ -347,8 +346,8 @@ def certify_dual_conj_ref(f, d):
     rows = tuple(
         tuple(gl.cert_shift(base[(h - i) % n], i) for h in range(n)) for i in range(n)
     )
-    cert = gl.UapCertificate(d - 1, 1.0, weights=weights, columns=columns, coeffs=rows)
-    return gl.CertifiedFunction(gl.GroupFunction(n, dual), cert)
+    return gl.CertifiedFunction(gl.UapCertificate(d - 1, 1.0, gl.GroupFunction(n, dual),
+                                                  weights=weights, columns=columns, coeffs=rows))
 
 
 def _rows(cf):
@@ -521,17 +520,19 @@ def _replace(cf, path, make):
     rows = [list(r) for r in _rows(cf)]
     rows[i][j] = _replace(rows[i][j], ("root",) + tuple(path[3:]), make)
     cert = cf.cert
-    new = gl.UapCertificate(cert.order, cert.bound, weights=cert.weights, columns=cert.columns,
-                            coeffs=tuple(tuple(r) for r in rows))
-    return gl.CertifiedFunction(cf.func, new)
+    return gl.CertifiedFunction(gl.UapCertificate(
+        cert.order, cert.bound, cf.func, weights=cert.weights, columns=cert.columns,
+        coeffs=tuple(tuple(r) for r in rows)))
 
 
 def _recert(node, **fields):
+    """node read at its offset from a new certificate: node's own, with
+    fields (func is the certified function G) replaced."""
     cert = node.cert
-    kw = dict(order=cert.order, bound=cert.bound, value=cert.value, weights=cert.weights,
-              columns=cert.columns, coeffs=cert.coeffs)
+    kw = dict(order=cert.order, bound=cert.bound, func=cert.func, value=cert.value,
+              weights=cert.weights, columns=cert.columns, coeffs=cert.coeffs)
     kw.update(fields)
-    return gl.CertifiedFunction(node.func, gl.UapCertificate(**kw), node.offset)
+    return gl.CertifiedFunction(gl.UapCertificate(**kw), node.offset)
 
 
 def _with_column(node, j, column):
@@ -567,9 +568,10 @@ def _set_slot(value):
 
 
 def _with_value(node, i, value):
-    vals = node.func.values.copy()
-    vals[i] = value
-    return gl.CertifiedFunction(gl.GroupFunction(node.n, vals), node.cert, node.offset)
+    """node with its value at i set: its certificate's G is edited at i + offset."""
+    vals = node.cert.func.values.copy()
+    vals[(i + node.offset) % node.n] = value
+    return _recert(node, func=gl.GroupFunction(node.n, vals))
 
 
 # (name, order of the member, corruption of the member, message pattern)
@@ -604,13 +606,11 @@ MEMBER_CORRUPTIONS = [
      "coefficient bound 2 exceeds 1"),
     ("reconstruction", 2,
      lambda x: _with_coeff_rows(x, _set_slot(lambda c: gl.cert_shift(c, 1))), "reconstruction"),
-    # the shared certificate under a function one value off, or read one row
-    # off: a check made once per certificate, not per (certificate, unshifted
-    # function) pair, would pass both.  The value moves by 2e-8, beyond the
-    # member's tolerance 7e-9 but not the root's, which sees it divided by N.
-    *[(name, order, corrupt, "reconstruction error") for order in (1, 2) for name, corrupt in (
-        ("moved value", lambda x: _with_value(x, 4, x.func.values[4] + 2e-8)),
-        ("moved offset", lambda x: gl.CertifiedFunction(x.func, x.cert, (x.offset + 1) % x.n)))],
+    # the member's certificate holding a function one value off: the value
+    # moves by 2e-8, beyond the member's tolerance 7e-9 but not the root's,
+    # which sees it divided by N
+    *[("moved value", order, lambda x: _with_value(x, 4, x.func.values[4] + 2e-8),
+       "reconstruction error") for order in (1, 2)],
 ]
 
 
@@ -663,20 +663,24 @@ def test_verify_corruption_at_the_root():
     for bad in (
         _recert(const, value=None),
         _recert(const, bound=0.1),
-        gl.CertifiedFunction(gl.GroupFunction.constant(7, 0.2), const.cert),
+        _recert(const, func=gl.GroupFunction.constant(7, 0.2)),
         _recert(const, bound=-1.0),
     ):
         assert _same_failure(bad).path == ("root",)
     cf = gl.certify_dual(bounded_function(rng, 7), 3)
-    bad = gl.CertifiedFunction(gl.shift(cf.func, 1), cf.cert)
+    bad = _recert(cf, func=gl.shift(cf.func, 1))
     assert "reconstruction" in str(_same_failure(bad))
     # the root fails before a member whose check runs earlier in the walk
     worse = _replace(bad, ("root", 2, 4), lambda x: _recert(x, coeffs=None))
     assert _same_failure(worse).path == ("root",)
     # a coefficient corrupted at root level fails there before any member is visited
-    moved = _set_slot(lambda c: gl.CertifiedFunction(gl.shift(c.func, 1), c.cert))
+    moved = _set_slot(lambda c: _recert(c, func=gl.shift(c.cert.func, 1)))
     bad = _with_coeff_rows(cf, moved)
     assert _same_failure(bad).path == ("root",)
+    # so does a slot read one row off: a sound certificate of the moved
+    # function, in the wrong slot
+    err = _same_failure(_with_coeff_rows(cf, _set_slot(lambda c: gl.cert_shift(c, 1))))
+    assert "reconstruction" in str(err) and err.path == ("root",)
 
 
 # (name, order of the dual's certificate, NaN put in, message pattern)

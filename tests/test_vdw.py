@@ -11,7 +11,6 @@ from gowers_lab.errors import InvalidConfigurationError, SubproofError
 from gowers_lab.vdw import (
     Colouring,
     Fan,
-    FanSubproofs,
     VdwSearch,
     _ending_masks,
     find_mono_ap,
@@ -297,7 +296,7 @@ def test_focus_step_subproof_failures():
     with pytest.raises(SubproofError) as err:
         gl.fan_focus_step(
             col, k=3, d=1, n1=1, n2=2,
-            subproofs=FanSubproofs(block_solver=lambda *a: None),
+            block_solver=lambda *a: None,
         )
     assert err.value.block == 0
 
@@ -305,7 +304,7 @@ def test_focus_step_subproof_failures():
     with pytest.raises(SubproofError):
         gl.fan_focus_step(
             col, k=3, d=1, n1=1, n2=2,
-            subproofs=FanSubproofs(block_solver=lambda *a: ("fan", bogus)),
+            block_solver=lambda *a: ("fan", bogus),
         )
 
     def raiser(*a):
@@ -313,7 +312,7 @@ def test_focus_step_subproof_failures():
 
     with pytest.raises(SubproofError):
         gl.fan_focus_step(
-            col, k=3, d=1, n1=1, n2=2, subproofs=FanSubproofs(block_solver=raiser)
+            col, k=3, d=1, n1=1, n2=2, block_solver=raiser
         )
 
 
